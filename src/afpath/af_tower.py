@@ -14,12 +14,11 @@ dense while keeping elementary-matrix arithmetic cheap.
 
 from fractions import Fraction
 
+from ._exact import add, product, subtract
 from .scalars import Scalar, ZERO, ONE, as_scalar
 from .cylinder import indicator_path
 
 _SCALAR_TYPES = (int, Fraction, Scalar)
-
-_F0 = Fraction(0)
 
 
 class AfElement:
@@ -123,30 +122,12 @@ class AfElement:
 
     def __add__(self, other):
         self._require_compatible(other)
-        blocks = []
-        for a, b in zip(self.blocks, other.blocks):
-            out = dict(a)
-            for key, val in b.items():
-                s = out.get(key, ZERO) + val
-                if s:
-                    out[key] = s
-                elif key in out:
-                    del out[key]
-            blocks.append(out)
+        blocks = [add(a, b) for a, b in zip(self.blocks, other.blocks)]
         return AfElement._wrap(self.diagram, self.level, blocks)
 
     def __sub__(self, other):
         self._require_compatible(other)
-        blocks = []
-        for a, b in zip(self.blocks, other.blocks):
-            out = dict(a)
-            for key, val in b.items():
-                s = out.get(key, ZERO) - val
-                if s:
-                    out[key] = s
-                elif key in out:
-                    del out[key]
-            blocks.append(out)
+        blocks = [subtract(a, b) for a, b in zip(self.blocks, other.blocks)]
         return AfElement._wrap(self.diagram, self.level, blocks)
 
     def __neg__(self):
@@ -163,50 +144,7 @@ class AfElement:
                 [{key: c * val for key, val in block.items()} for block in self.blocks],
             )
         self._require_compatible(other)
-        blocks = []
-        for a, b in zip(self.blocks, other.blocks):
-            rows = {}
-            for (k, j), val in b.items():
-                rows.setdefault(k, []).append((j, val.re, val.im))
-            # Accumulate real and imaginary parts as bare Fractions; Scalars
-            # are only built for the surviving nonzero cells at the end.
-            acc = {}
-            for (i, k), aval in a.items():
-                row = rows.get(k)
-                if row is None:
-                    continue
-                ar = aval.re
-                ai = aval.im
-                if ai:
-                    for j, br, bi in row:
-                        key = (i, j)
-                        cell = acc.get(key)
-                        if bi:
-                            re = ar * br - ai * bi
-                            im = ar * bi + ai * br
-                        else:
-                            re = ar * br
-                            im = ai * br
-                        if cell is None:
-                            acc[key] = [re, im]
-                        else:
-                            cell[0] += re
-                            cell[1] += im
-                else:
-                    for j, br, bi in row:
-                        key = (i, j)
-                        cell = acc.get(key)
-                        if cell is None:
-                            acc[key] = [ar * br, ar * bi if bi else _F0]
-                        else:
-                            cell[0] += ar * br
-                            if bi:
-                                cell[1] += ar * bi
-            out = {}
-            for key, (re, im) in acc.items():
-                if re or im:
-                    out[key] = Scalar._of(re, im)
-            blocks.append(out)
+        blocks = [product(a, b) for a, b in zip(self.blocks, other.blocks)]
         return AfElement._wrap(self.diagram, self.level, blocks)
 
     def __rmul__(self, other):

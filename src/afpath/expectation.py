@@ -9,44 +9,29 @@ max(level(f), n).
 
 from fractions import Fraction
 
+from ._exact import class_sums
 from .cylinder import CylinderFunction, indicator_vertex
 from .scalars import ZERO
 
 
 def class_sum(f, n):
     """Sum f over each level-n tail class (the unnormalized averaging map)."""
-    d = f.diagram
-    if not 0 <= n <= d.depth:
-        raise ValueError("level %d out of range 0..%d" % (n, d.depth))
-    g = f.refine(max(f.level, n))
-    classes, class_of = d.tail_classes(g.level, n)
-    sums = []
-    for cls in classes:
-        total = ZERO
-        for gid in cls:
-            x = g.table[gid]
-            if x:
-                total = total + x
-        sums.append(total)
-    return CylinderFunction(d, g.level, tuple(sums[class_of[gid]] for gid in range(len(g.table))))
+    return _averaged(f, n, mean=False)
 
 
 def expect(f, n):
     """The conditional expectation: average f over each level-n tail class."""
+    return _averaged(f, n, mean=True)
+
+
+def _averaged(f, n, mean):
     d = f.diagram
     if not 0 <= n <= d.depth:
         raise ValueError("level %d out of range 0..%d" % (n, d.depth))
     g = f.refine(max(f.level, n))
     classes, class_of = d.tail_classes(g.level, n)
-    means = []
-    for cls in classes:
-        total = ZERO
-        for gid in cls:
-            x = g.table[gid]
-            if x:
-                total = total + x
-        means.append(Fraction(1, len(cls)) * total if total else ZERO)
-    return CylinderFunction(d, g.level, tuple(means[class_of[gid]] for gid in range(len(g.table))))
+    sums = class_sums(g.table, classes, mean)
+    return CylinderFunction._wrap(d, g.level, tuple(sums[c] for c in class_of))
 
 
 def expect_indicator(diagram, gamma):

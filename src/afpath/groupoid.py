@@ -11,12 +11,11 @@ changing the function it represents.
 
 from fractions import Fraction
 
+from ._exact import add, product, subtract
 from .scalars import Scalar, ZERO, as_scalar
 from .cylinder import constant, indicator_path
 
 _SCALAR_TYPES = (int, Fraction, Scalar)
-
-_F0 = Fraction(0)
 
 
 class GroupoidFunction:
@@ -128,17 +127,15 @@ class GroupoidFunction:
 
     def __add__(self, other):
         f, g = self._common(other)
-        out = dict(f.table)
-        for key, val in g.table.items():
-            s = out.get(key, ZERO) + val
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
-        return GroupoidFunction._wrap(f.diagram, f.support_level, f.table_level, out)
+        return GroupoidFunction._wrap(
+            f.diagram, f.support_level, f.table_level, add(f.table, g.table)
+        )
 
     def __sub__(self, other):
-        return self + (-1) * other
+        f, g = self._common(other)
+        return GroupoidFunction._wrap(
+            f.diagram, f.support_level, f.table_level, subtract(f.table, g.table)
+        )
 
     def __neg__(self):
         return (-1) * self
@@ -187,59 +184,9 @@ class GroupoidFunction:
 def convolve(F, G):
     """Kernel product: (F * G)(a, b) = sum over middle paths c of F(a,c) G(c,b)."""
     F2, G2 = F._common(G)
-    ft = F2.table
-    gt = G2.table
-    if not ft or not gt:
-        return GroupoidFunction._wrap(F2.diagram, F2.support_level, F2.table_level, {})
-    rows = {}
-    if len(ft) * 4 < len(gt):
-        # Index only the rows of G a small F can actually reach.
-        needed = {c for (_, c) in ft}
-        for (c, b), val in gt.items():
-            if c in needed:
-                rows.setdefault(c, []).append((b, val.re, val.im))
-    else:
-        for (c, b), val in gt.items():
-            rows.setdefault(c, []).append((b, val.re, val.im))
-    # Accumulate real and imaginary parts as bare Fractions; Scalars are
-    # only built for the surviving nonzero cells at the end.
-    acc = {}
-    for (a, c), fval in F2.table.items():
-        row = rows.get(c)
-        if row is None:
-            continue
-        fr = fval.re
-        fi = fval.im
-        if fi:
-            for b, gr, gi in row:
-                key = (a, b)
-                cell = acc.get(key)
-                if gi:
-                    re = fr * gr - fi * gi
-                    im = fr * gi + fi * gr
-                else:
-                    re = fr * gr
-                    im = fi * gr
-                if cell is None:
-                    acc[key] = [re, im]
-                else:
-                    cell[0] += re
-                    cell[1] += im
-        else:
-            for b, gr, gi in row:
-                key = (a, b)
-                cell = acc.get(key)
-                if cell is None:
-                    acc[key] = [fr * gr, fr * gi if gi else _F0]
-                else:
-                    cell[0] += fr * gr
-                    if gi:
-                        cell[1] += fr * gi
-    out = {}
-    for key, (re, im) in acc.items():
-        if re or im:
-            out[key] = Scalar._of(re, im)
-    return GroupoidFunction._wrap(F2.diagram, F2.support_level, F2.table_level, out)
+    return GroupoidFunction._wrap(
+        F2.diagram, F2.support_level, F2.table_level, product(F2.table, G2.table)
+    )
 
 
 def diag(f):

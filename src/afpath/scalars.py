@@ -94,6 +94,9 @@ class Scalar:
         return NotImplemented
 
     def __hash__(self):
+        # A real Scalar equals its real part, so it must hash like it too.
+        if not self.im:
+            return hash(self.re)
         return hash((self.re, self.im))
 
     def __repr__(self):

@@ -107,3 +107,20 @@ def test_str_forms():
 def test_hashable():
     assert hash(Scalar(1, 0)) == hash(Scalar(Fraction(1), Fraction(0)))
     assert len({Scalar(1), Scalar(1, 0), ONE}) == 1
+
+
+def test_hash_agrees_with_mixed_equality():
+    assert hash(Scalar(3)) == hash(3)
+    assert {3: "x"}.get(Scalar(3)) == "x"
+    assert hash(Scalar(Fraction(-5, 3))) == hash(Fraction(-5, 3))
+    assert {Fraction(-5, 3): "y"}.get(Scalar(Fraction(-5, 3))) == "y"
+    assert {Scalar(1, Fraction(1, 2)): "z"}.get(Scalar(Fraction(2, 2), Fraction(2, 4))) == "z"
+    assert {0: "w"}.get(Scalar(0, 1)) is None
+
+
+@given(scalars, scalars)
+def test_equal_scalars_hash_equal(x, y):
+    if x == y:
+        assert hash(x) == hash(y)
+    if not x.im:
+        assert hash(x) == hash(x.re)
