@@ -178,22 +178,18 @@ class AfElement:
         n = self.level
         if n >= d.depth:
             raise ValueError("cannot embed past the truncation depth %d" % d.depth)
-        paths_n = d.paths(n)
         groups = d.block_paths(n)
-        offsets = d.memo(("ext_offsets", n), lambda: _extension_offsets(d, n))
+        c = d.children(n)
         pos_next = d.block_pos(n + 1)
         new_blocks = [{} for _ in d.block_paths(n + 1)]
-        for v, block in enumerate(self.blocks):
-            if not block:
-                continue
-            gids = groups[v]
-            edges = d.edges_from(paths_n[gids[0]].terminal())
+        for gids, block in zip(groups, self.blocks):
             for (i, j), val in block.items():
-                gi, gj = gids[i], gids[j]
-                for t in range(len(edges)):
-                    w, li = pos_next[offsets[gi] + t]
-                    _, lj = pos_next[offsets[gj] + t]
-                    new_blocks[w][(li, lj)] = val
+                # Both paths end at one vertex, so their t-th extensions
+                # follow the same edge into the same block.
+                a, b = gids[i], gids[j]
+                for x, y in zip(range(c[a], c[a + 1]), range(c[b], c[b + 1])):
+                    w, li = pos_next[x]
+                    new_blocks[w][(li, pos_next[y][1])] = val
         return AfElement._wrap(d, n + 1, new_blocks)
 
     def embed_to(self, m):
@@ -212,16 +208,6 @@ class AfElement:
             len(self.blocks),
             nnz,
         )
-
-
-def _extension_offsets(d, n):
-    # Position in paths(n+1) where the extensions of each length-n path begin.
-    offsets = []
-    acc = 0
-    for p in d.paths(n):
-        offsets.append(acc)
-        acc += len(d.edges_from(p.terminal()))
-    return tuple(offsets)
 
 
 def matrix_unit(diagram, gamma, delta):

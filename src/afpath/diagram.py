@@ -10,6 +10,7 @@ is what makes byte-level determinism possible downstream.
 """
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 
 class DepthExhaustedError(ValueError):
@@ -274,19 +275,17 @@ class BratteliDiagram:
     def path_count(self, v):
         """Number of rooted paths ending at v, by the multiplicity recursion."""
         self._check_vertex(v)
-        return self._level_counts(v.level)[v.index]
+        return self._level_counts()[v.level][v.index]
 
-    def _level_counts(self, n):
+    def _level_counts(self):
+        # One loop down the diagram, so a deep diagram never recurses per level.
         def build():
-            if n == 0:
-                return (1,) * self.vertex_counts[0]
-            prev = self._level_counts(n - 1)
-            mat = self.incidence[n - 1]
-            return tuple(
-                sum(prev[i] * mat[i][j] for i in range(self.vertex_counts[n - 1]))
-                for j in range(self.vertex_counts[n])
-            )
-        return self.memo(("counts", n), build)
+            levels = [(1,) * self.vertex_counts[0]]
+            for mat, width in zip(self.incidence, self.vertex_counts[1:]):
+                prev = levels[-1]
+                levels.append(tuple(sum(c * row[j] for c, row in zip(prev, mat)) for j in range(width)))
+            return tuple(levels)
+        return self.memo(("counts",), build)
 
     def paths(self, n):
         """All rooted paths of length n, lexicographically by edge sequence."""
@@ -323,17 +322,32 @@ class BratteliDiagram:
             return tuple(s for s in frontier if s.end() == w)
         return self.memo(("segments", v, w), build)
 
-    def segments_to_level(self, v, m):
-        """All segments from v down to level m, in canonical order."""
-        self._check_vertex(v)
-        if m < v.level:
-            raise ValueError("target level %d sits above %r" % (m, v))
+    def children(self, n):
+        """Where the one-edge extensions of each length-n path sit in paths(n+1).
+
+        Returns offsets c, one more than there are length-n paths: the
+        extensions of path id i are the ids ``range(c[i], c[i+1])``, in edge
+        order.  The canonical order keeps them contiguous, so embedding,
+        widening and refinement walk path ids through this map instead of
+        building paths.
+        """
+        if not 0 <= n < self.depth:
+            raise ValueError("level %d has no children (need 0 <= level < depth %d)" % (n, self.depth))
         def build():
-            frontier = [PathSegment(v, ())]
-            for _ in range(m - v.level):
-                frontier = [s.extend(e) for s in frontier for e in self.edges_from(s.end())]
-            return tuple(frontier)
-        return self.memo(("segments_to_level", v, m), build)
+            degree = [len(self.edges_from(v)) for v in self.vertices(n)]
+            return tuple(accumulate((degree[p.terminal().index] for p in self.paths(n)), initial=0))
+        return self.memo(("children", n), build)
+
+    def descendants(self, n, m):
+        """Offsets like ``children`` from level n down to level m >= n: the
+        length-m extensions of length-n path id i are ``range(d[i], d[i+1])``."""
+        if not 0 <= n <= m <= self.depth:
+            raise ValueError("need 0 <= n <= m <= depth, got n=%d m=%d" % (n, m))
+        offsets = range(len(self.paths(n)) + 1)
+        for k in range(n, m):
+            step = self.children(k)
+            offsets = [step[i] for i in offsets]
+        return offsets
 
     # -- canonical indexing for tables --------------------------------------
 
@@ -387,8 +401,8 @@ class BratteliDiagram:
         if not 0 <= m_coarse <= m_fine <= self.depth:
             raise ValueError("bad prefix levels %d -> %d" % (m_fine, m_coarse))
         def build():
-            index = {p: i for i, p in enumerate(self.paths(m_coarse))}
-            return tuple(index[p.prefix(m_coarse)] for p in self.paths(m_fine))
+            d = self.descendants(m_coarse, m_fine)
+            return tuple(i for i in range(len(d) - 1) for _ in range(d[i], d[i + 1]))
         return self.memo(("prefix_ids", m_fine, m_coarse), build)
 
     def __repr__(self):

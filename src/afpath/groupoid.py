@@ -102,17 +102,15 @@ class GroupoidFunction:
             )
         if support_level == self.support_level and table_level == self.table_level:
             return self
-        if table_level == self.table_level:
-            return GroupoidFunction._wrap(d, support_level, table_level, dict(self.table))
-        paths = d.paths(self.table_level)
-        out = {}
-        for (a, b), val in self.table.items():
-            pa, pb = paths[a], paths[b]
-            for seg in d.segments_to_level(pa.terminal(), table_level):
-                a2 = d.path_id(pa.followed_by(seg))
-                b2 = d.path_id(pb.followed_by(seg))
-                out[(a2, b2)] = val
-        return GroupoidFunction._wrap(d, support_level, table_level, out)
+        # An admissible pair ends at one vertex, so its t-th extensions
+        # follow the same segment and stay admissible.
+        off = d.descendants(self.table_level, table_level)
+        table = {
+            pair: val
+            for (a, b), val in self.table.items()
+            for pair in zip(range(off[a], off[a + 1]), range(off[b], off[b + 1]))
+        }
+        return GroupoidFunction._wrap(d, support_level, table_level, table)
 
     def _common(self, other):
         if not isinstance(other, GroupoidFunction):

@@ -722,7 +722,7 @@ def run_suites(config, diagram=None):
     if diagram is None:
         diagram = resolve_diagram(config)
     cap = max_entries_cap()
-    needed = estimate_max_table_safe(diagram)
+    needed = estimate_max_table(diagram)
     if needed > cap:
         return [
             SuiteResult(
@@ -747,14 +747,6 @@ def run_suites(config, diagram=None):
         else:
             results.append(_run_one(name, ctx))
     return results
-
-
-def estimate_max_table_safe(diagram):
-    """Table estimate that degrades gracefully on invalid diagrams."""
-    try:
-        return estimate_max_table(diagram)
-    except Exception:
-        return 0
 
 
 def render_report(config, results, depth=None):

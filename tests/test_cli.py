@@ -81,6 +81,11 @@ def test_counts_single_level(capsys):
     assert capsys.readouterr().out == "level 3: vertices=4 counts=1 3 3 1 total=8\n"
 
 
+def test_counts_deep_diagram_does_not_recurse(capsys):
+    assert main(["counts", "car", "--depth", "1200", "--level", "1200"]) == 0
+    assert capsys.readouterr().out == "level 1200: vertices=1 counts=%d total=%d\n" % (2**1200, 2**1200)
+
+
 def test_counts_level_out_of_range(capsys):
     assert main(["counts", "pascal", "--level", "9"]) == 2
     assert capsys.readouterr().err.startswith("error:")

@@ -94,6 +94,16 @@ def test_equality_across_levels(car):
     assert CylinderFunction(car, 1, (1, 0)) + CylinderFunction(car, 1, (0, 1)) == constant(car, 1)
 
 
+def test_equal_functions_are_unhashable(car):
+    # Equality holds across table levels, so no table hash could agree with it.
+    f = CylinderFunction(car, 1, (1, 2))
+    assert f == f.refine(2)
+    with pytest.raises(TypeError):
+        hash(f)
+    with pytest.raises(TypeError):
+        {f}
+
+
 def test_refine_cannot_coarsen(car):
     f = constant(car, 0).refine(2)
     with pytest.raises(ValueError):

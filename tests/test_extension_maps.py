@@ -1,0 +1,121 @@
+"""Path-id extension maps on a diagram with parallel edges and several
+vertices per level, checked against explicit FinitePath oracles."""
+
+import random
+
+import pytest
+
+from afpath import BratteliDiagram, represent
+from afpath.harness import random_af_element, random_cylinder, random_groupoid_function
+
+# Vertices 1,3,3,3,3 with multiplicities 0-2 and uneven fan-in: 4, 9, 21
+# and 41 paths at levels 1-4.  No built-in has both parallel edges and
+# more than one vertex per level.
+MIXED = BratteliDiagram(
+    (1, 3, 3, 3, 3),
+    (
+        ((1, 2, 1),),
+        ((1, 0, 1), (1, 1, 0), (0, 2, 1)),
+        ((2, 0, 1), (0, 1, 1), (1, 1, 0)),
+        ((1, 0, 0), (0, 1, 1), (1, 2, 0)),
+    ),
+)
+
+
+def test_mixed_diagram_shape():
+    d = MIXED
+    assert d.validate() == []
+    assert [len(d.paths(n)) for n in range(d.depth + 1)] == [1, 4, 9, 21, 41]
+
+
+def test_children_are_the_one_edge_extensions():
+    d = MIXED
+    for n in range(d.depth):
+        c = d.children(n)
+        assert len(c) == len(d.paths(n)) + 1
+        for gid, p in enumerate(d.paths(n)):
+            want = [d.path_id(p.extend(e)) for e in d.edges_from(p.terminal())]
+            assert list(range(c[gid], c[gid + 1])) == want
+
+
+@pytest.mark.parametrize("level", [-1, 4, 5])
+def test_children_rejects_levels_outside_range(level):
+    with pytest.raises(ValueError):
+        MIXED.children(level)
+
+
+def test_descendants_are_the_extensions_by_segments():
+    d = MIXED
+    for n in range(d.depth + 1):
+        for m in range(n, d.depth + 1):
+            off = d.descendants(n, m)
+            for gid, p in enumerate(d.paths(n)):
+                want = [d.path_id(q) for q in d.paths(m) if q.prefix(n) == p]
+                assert list(range(off[gid], off[gid + 1])) == want
+    for n, m in ((-1, 2), (3, 2), (2, 5)):
+        with pytest.raises(ValueError):
+            d.descendants(n, m)
+
+
+def test_prefix_ids_match_path_prefixes():
+    d = MIXED
+    for m in range(d.depth + 1):
+        for k in range(m + 1):
+            want = tuple(d.path_id(p.prefix(k)) for p in d.paths(m))
+            assert d.prefix_ids(m, k) == want
+
+
+def test_refine_rereads_the_value_at_each_extension():
+    d = MIXED
+    rng = random.Random(3)
+    for level in range(d.depth + 1):
+        f = random_cylinder(d, level, rng)
+        for m in range(level, d.depth + 1):
+            g = f.refine(m)
+            assert g.table == tuple(f.eval(p) for p in d.paths(m))
+
+
+def _widen_oracle(F, table_level):
+    d = F.diagram
+    paths = d.paths(F.table_level)
+    out = {}
+    for (a, b), val in F.table.items():
+        pa, pb = paths[a], paths[b]
+        for w in d.vertices(table_level):
+            for seg in d.segments(pa.terminal(), w):
+                out[(d.path_id(pa.followed_by(seg)), d.path_id(pb.followed_by(seg)))] = val
+    return out
+
+
+def test_widen_copies_each_pair_onto_common_continuations():
+    d = MIXED
+    rng = random.Random(5)
+    for n in range(d.depth + 1):
+        for m in range(n, d.depth + 1):
+            F = random_groupoid_function(d, n, m, rng)
+            for n2 in range(n, d.depth + 1):
+                for m2 in range(max(m, n2), d.depth + 1):
+                    G = F.widen(n2, m2)
+                    assert (G.support_level, G.table_level) == (n2, m2)
+                    assert G.table == _widen_oracle(F, m2)
+
+
+def test_embed_spreads_each_unit_over_common_edges():
+    d = MIXED
+    rng = random.Random(7)
+    for n in range(d.depth):
+        x = random_af_element(d, n, rng)
+        want = {}
+        for _, z, h, val in x.nonzero_entries():
+            for e in d.edges_from(z.terminal()):
+                want[(d.path_id(z.extend(e)), d.path_id(h.extend(e)))] = val
+        assert represent(x.embed()).table == want
+
+
+def test_represent_intertwines_embed_and_widen():
+    d = MIXED
+    rng = random.Random(11)
+    for n in range(d.depth):
+        for _ in range(3):
+            x = random_af_element(d, n, rng)
+            assert represent(x.embed()) == represent(x).widen(n + 1, n + 1)
