@@ -1,11 +1,12 @@
 """Sparse Gaussian-rational kernels for the tower and kernel algebras.
 
-A table maps keys to nonzero Scalars.  ``product`` and ``class_sums`` turn
-each operand once into Gaussian-integer numerators (Python ints) over one
-common denominator, multiply and add only ints, and turn each nonzero
-result back into reduced Fractions once: Bareiss's integer-preserving idea
-(Math. Comp. 22, 1968) applied to products and sums.  Results equal the
-naive Scalar computation, with zero cells dropped, so reports do not change.
+A table maps keys to nonzero Scalars; both algebras key theirs by pairs of
+path ids.  ``product`` and ``class_sums`` turn each operand once into
+Gaussian-integer numerators (Python ints) over one common denominator,
+multiply and add only ints, and turn each nonzero result back into reduced
+Fractions once: Bareiss's integer-preserving idea (Math. Comp. 22, 1968)
+applied to products and sums.  Results equal the naive Scalar computation,
+with zero cells dropped, so reports do not change.
 """
 
 from fractions import Fraction
@@ -104,6 +105,21 @@ def class_sums(table, classes, mean=False):
         else:
             out.append(ZERO)
     return out
+
+
+def extend_pairs(table, offsets):
+    """Copy the entry at each pair (a, b) onto the pairs of t-th extensions.
+
+    ``offsets`` is a ``BratteliDiagram.children``/``descendants`` map: the
+    extensions of id a are ``range(offsets[a], offsets[a+1])``.  Both ids of
+    a pair end at one vertex, so their t-th extensions follow the same
+    edges.
+    """
+    return {
+        pair: val
+        for (a, b), val in table.items()
+        for pair in zip(range(offsets[a], offsets[a + 1]), range(offsets[b], offsets[b + 1]))
+    }
 
 
 def _merge(a, b, op):

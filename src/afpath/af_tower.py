@@ -7,14 +7,16 @@ embedding sends the elementary matrix at a path pair (z, h) to the sum over
 outgoing edges e of the elementary matrix at (z.e, h.e), which realizes the
 multiplicity matrix of the diagram.
 
-Blocks are stored as maps holding only nonzero entries; the block sizes are
-always those dictated by the diagram, so the representation is semantically
-dense while keeping elementary-matrix arithmetic cheap.
+An element is stored as one table of its nonzero entries keyed by pairs of
+length-n path ids, the keys a support-n kernel uses, so ``represent`` is
+the identity on tables.  Both ids of a key end at one vertex; the block
+sizes are those dictated by the diagram, and ``blocks`` gives the
+per-vertex view with positions inside each block.
 """
 
 from fractions import Fraction
 
-from ._exact import add, product, subtract
+from ._exact import add, extend_pairs, product, subtract
 from .scalars import Scalar, ZERO, ONE, as_scalar
 from .cylinder import indicator_path
 
@@ -24,64 +26,68 @@ _SCALAR_TYPES = (int, Fraction, Scalar)
 class AfElement:
     """One element of the stage-n block-matrix algebra."""
 
-    __slots__ = ("diagram", "level", "blocks")
+    __slots__ = ("diagram", "level", "table")
 
     def __init__(self, diagram, level, blocks):
         if not 0 <= level <= diagram.depth:
             raise ValueError("level %d out of range 0..%d" % (level, diagram.depth))
-        sizes = [len(g) for g in diagram.block_paths(level)]
-        if len(blocks) != len(sizes):
-            raise ValueError("expected %d blocks, got %d" % (len(sizes), len(blocks)))
-        clean = []
-        for v, block in enumerate(blocks):
-            out = {}
+        groups = diagram.block_paths(level)
+        if len(blocks) != len(groups):
+            raise ValueError("expected %d blocks, got %d" % (len(groups), len(blocks)))
+        table = {}
+        for v, (gids, block) in enumerate(zip(groups, blocks)):
+            size = len(gids)
             for (i, j), val in block.items():
-                if not 0 <= i < sizes[v] or not 0 <= j < sizes[v]:
-                    raise ValueError(
-                        "entry (%d,%d) outside block %d of size %d" % (i, j, v, sizes[v])
-                    )
+                if not 0 <= i < size or not 0 <= j < size:
+                    raise ValueError("entry (%d,%d) outside block %d of size %d" % (i, j, v, size))
                 val = as_scalar(val)
                 if val:
-                    out[(i, j)] = val
-            clean.append(out)
+                    table[(gids[i], gids[j])] = val
         self.diagram = diagram
         self.level = level
-        self.blocks = tuple(clean)
+        self.table = table
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def _wrap(cls, diagram, level, blocks):
-        # Internal fast path: blocks are already clean (nonzero Scalars,
-        # indices in range), so skip the constructor's validation pass.
+    def _wrap(cls, diagram, level, table):
+        # Internal fast path: the table is already clean (nonzero Scalars at
+        # pairs of same-terminal path ids), so skip the validation pass.
         x = object.__new__(cls)
         x.diagram = diagram
         x.level = level
-        x.blocks = tuple(blocks)
+        x.table = table
         return x
 
     @classmethod
     def zero(cls, diagram, level):
-        return cls(diagram, level, [{} for _ in diagram.block_paths(level)])
+        return cls(diagram, level, [{}] * len(diagram.block_paths(level)))
 
     @classmethod
     def identity(cls, diagram, level):
-        blocks = [{(i, i): ONE for i in range(len(g))} for g in diagram.block_paths(level)]
-        return cls(diagram, level, blocks)
+        return cls._wrap(diagram, level, {(g, g): ONE for g in range(len(diagram.paths(level)))})
 
     # -- block access ----------------------------------------------------------
+
+    @property
+    def blocks(self):
+        """Per-vertex dicts keyed by (row, column) positions inside each block."""
+        pos = self.diagram.block_pos(self.level)
+        out = [{} for _ in self.diagram.block_paths(self.level)]
+        for (a, b), val in self.table.items():
+            v, i = pos[a]
+            out[v][(i, pos[b][1])] = val
+        return tuple(out)
 
     def block_size(self, v):
         return len(self.diagram.block_paths(self.level)[v])
 
     def entry(self, gamma, delta):
         """The coefficient at a pair of length-n paths (zero across blocks)."""
+        if len(gamma) != self.level or len(delta) != self.level:
+            raise ValueError("entry needs two paths of length %d" % self.level)
         d = self.diagram
-        vi, i = d.block_pos(self.level)[d.path_id(gamma)]
-        vj, j = d.block_pos(self.level)[d.path_id(delta)]
-        if vi != vj:
-            return ZERO
-        return self.blocks[vi].get((i, j), ZERO)
+        return self.table.get((d.path_id(gamma), d.path_id(delta)), ZERO)
 
     def nonzero_entries(self):
         """Yield (vertex index, row path, col path, value) in canonical order."""
@@ -101,14 +107,15 @@ class AfElement:
         return rows
 
     def trace_block(self, v):
+        pos = self.diagram.block_pos(self.level)
         total = ZERO
-        for (i, j), val in self.blocks[v].items():
-            if i == j:
+        for (a, b), val in self.table.items():
+            if a == b and pos[a][0] == v:
                 total = total + val
         return total
 
     def is_zero(self):
-        return not any(self.blocks)
+        return not self.table
 
     # -- *-algebra operations -----------------------------------------------------
 
@@ -122,13 +129,11 @@ class AfElement:
 
     def __add__(self, other):
         self._require_compatible(other)
-        blocks = [add(a, b) for a, b in zip(self.blocks, other.blocks)]
-        return AfElement._wrap(self.diagram, self.level, blocks)
+        return AfElement._wrap(self.diagram, self.level, add(self.table, other.table))
 
     def __sub__(self, other):
         self._require_compatible(other)
-        blocks = [subtract(a, b) for a, b in zip(self.blocks, other.blocks)]
-        return AfElement._wrap(self.diagram, self.level, blocks)
+        return AfElement._wrap(self.diagram, self.level, subtract(self.table, other.table))
 
     def __neg__(self):
         return (-1) * self
@@ -138,14 +143,10 @@ class AfElement:
             c = as_scalar(other)
             if not c:
                 return AfElement.zero(self.diagram, self.level)
-            return AfElement._wrap(
-                self.diagram,
-                self.level,
-                [{key: c * val for key, val in block.items()} for block in self.blocks],
-            )
+            table = {key: c * val for key, val in self.table.items()}
+            return AfElement._wrap(self.diagram, self.level, table)
         self._require_compatible(other)
-        blocks = [product(a, b) for a, b in zip(self.blocks, other.blocks)]
-        return AfElement._wrap(self.diagram, self.level, blocks)
+        return AfElement._wrap(self.diagram, self.level, product(self.table, other.table))
 
     def __rmul__(self, other):
         if isinstance(other, _SCALAR_TYPES):
@@ -153,11 +154,9 @@ class AfElement:
         return NotImplemented
 
     def adjoint(self):
-        """Conjugate transpose, blockwise."""
-        blocks = [
-            {(j, i): val.conjugate() for (i, j), val in block.items()} for block in self.blocks
-        ]
-        return AfElement._wrap(self.diagram, self.level, blocks)
+        """Conjugate transpose."""
+        table = {(b, a): val.conjugate() for (a, b), val in self.table.items()}
+        return AfElement._wrap(self.diagram, self.level, table)
 
     def __eq__(self, other):
         if not isinstance(other, AfElement):
@@ -165,7 +164,7 @@ class AfElement:
         return (
             other.diagram is self.diagram
             and other.level == self.level
-            and other.blocks == self.blocks
+            and other.table == self.table
         )
 
     __hash__ = None
@@ -178,19 +177,7 @@ class AfElement:
         n = self.level
         if n >= d.depth:
             raise ValueError("cannot embed past the truncation depth %d" % d.depth)
-        groups = d.block_paths(n)
-        c = d.children(n)
-        pos_next = d.block_pos(n + 1)
-        new_blocks = [{} for _ in d.block_paths(n + 1)]
-        for gids, block in zip(groups, self.blocks):
-            for (i, j), val in block.items():
-                # Both paths end at one vertex, so their t-th extensions
-                # follow the same edge into the same block.
-                a, b = gids[i], gids[j]
-                for x, y in zip(range(c[a], c[a + 1]), range(c[b], c[b + 1])):
-                    w, li = pos_next[x]
-                    new_blocks[w][(li, pos_next[y][1])] = val
-        return AfElement._wrap(d, n + 1, new_blocks)
+        return AfElement._wrap(d, n + 1, extend_pairs(self.table, d.children(n)))
 
     def embed_to(self, m):
         """Iterate the inclusion up to stage m >= level."""
@@ -202,11 +189,10 @@ class AfElement:
         return x
 
     def __repr__(self):
-        nnz = sum(len(b) for b in self.blocks)
         return "AfElement(level=%d, %d blocks, %d nonzero entries)" % (
             self.level,
-            len(self.blocks),
-            nnz,
+            len(self.diagram.block_paths(self.level)),
+            len(self.table),
         )
 
 
@@ -218,25 +204,14 @@ def matrix_unit(diagram, gamma, delta):
         raise ValueError(
             "paths end at different vertices %r and %r" % (gamma.terminal(), delta.terminal())
         )
-    n = len(gamma)
     d = diagram
-    v, i = d.block_pos(n)[d.path_id(gamma)]
-    _, j = d.block_pos(n)[d.path_id(delta)]
-    blocks = [{} for _ in d.block_paths(n)]
-    blocks[v][(i, j)] = ONE
-    return AfElement(d, n, blocks)
+    return AfElement._wrap(d, len(gamma), {(d.path_id(gamma), d.path_id(delta)): ONE})
 
 
 def represent_cylinder(f):
     """A level-m cylinder function as the diagonal matrix of its table."""
-    d = f.diagram
-    pos = d.block_pos(f.level)
-    blocks = [{} for _ in d.block_paths(f.level)]
-    for gid, val in enumerate(f.table):
-        if val:
-            v, i = pos[gid]
-            blocks[v][(i, i)] = val
-    return AfElement(d, f.level, blocks)
+    table = {(gid, gid): val for gid, val in enumerate(f.table) if val}
+    return AfElement._wrap(f.diagram, f.level, table)
 
 
 def jones_projection(diagram, n, m=None):
@@ -252,12 +227,11 @@ def jones_projection(diagram, n, m=None):
         raise ValueError("need 0 <= n <= m <= depth, got n=%d m=%d" % (n, m))
 
     def build():
-        blocks = []
+        table = {}
         for gids in d.block_paths(n):
-            size = len(gids)
-            val = as_scalar(Fraction(1, size))
-            blocks.append({(i, j): val for i in range(size) for j in range(size)})
-        return AfElement(d, n, blocks).embed_to(m)
+            val = as_scalar(Fraction(1, len(gids)))
+            table.update(((a, b), val) for a in gids for b in gids)
+        return AfElement._wrap(d, n, table).embed_to(m)
 
     return d.memo(("jones_projection", n, m), build)
 
@@ -329,12 +303,9 @@ def embed_multiplicities(diagram, n):
     d = diagram
     if not 0 <= n < d.depth:
         raise ValueError("level %d has no embedding (depth %d)" % (n, d.depth))
-    paths_n = d.paths(n)
     rows = []
-    for v in range(d.vertex_counts[n]):
-        gids = d.block_paths(n)[v]
-        gamma = paths_n[gids[0]]
-        image = matrix_unit(d, gamma, gamma).embed()
+    for gids in d.block_paths(n):
+        image = AfElement._wrap(d, n, {(gids[0], gids[0]): ONE}).embed()
         row = []
         for w in range(d.vertex_counts[n + 1]):
             t = image.trace_block(w)

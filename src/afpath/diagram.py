@@ -290,15 +290,18 @@ class BratteliDiagram:
     def paths(self, n):
         """All rooted paths of length n, lexicographically by edge sequence."""
         self._check_level(n)
-        def build():
-            if n == 0:
-                return (FinitePath(()),)
-            out = []
-            for p in self.paths(n - 1):
-                for e in self.edges_from(p.terminal()):
-                    out.append(p.extend(e))
-            return tuple(out)
-        return self.memo(("paths", n), build)
+        # Build upward in one loop from the deepest level already built (or
+        # the root), so a deep diagram never recurses per level.
+        k = n
+        while k and ("paths", k) not in self._memo:
+            k -= 1
+        out = self.memo(("paths", k), lambda: (FinitePath(()),))
+        for k in range(k + 1, n + 1):
+            out = self.memo(
+                ("paths", k),
+                lambda: tuple(p.extend(e) for p in out for e in self.edges_from(p.terminal())),
+            )
+        return out
 
     def path_id(self, path):
         """Position of a rooted path within the canonical enumeration."""
@@ -353,6 +356,7 @@ class BratteliDiagram:
 
     def block_paths(self, n):
         """Path ids at level n grouped by terminal vertex, canonical order."""
+        self._check_level(n)
         def build():
             groups = [[] for _ in range(self.vertex_counts[n])]
             for gid, p in enumerate(self.paths(n)):

@@ -11,8 +11,9 @@ changing the function it represents.
 
 from fractions import Fraction
 
-from ._exact import add, product, subtract
+from ._exact import add, extend_pairs, product, subtract
 from .scalars import Scalar, ZERO, as_scalar
+from .af_tower import jones_projection
 from .cylinder import constant, indicator_path
 
 _SCALAR_TYPES = (int, Fraction, Scalar)
@@ -104,12 +105,7 @@ class GroupoidFunction:
             return self
         # An admissible pair ends at one vertex, so its t-th extensions
         # follow the same segment and stay admissible.
-        off = d.descendants(self.table_level, table_level)
-        table = {
-            pair: val
-            for (a, b), val in self.table.items()
-            for pair in zip(range(off[a], off[a + 1]), range(off[b], off[b + 1]))
-        }
+        table = extend_pairs(self.table, d.descendants(self.table_level, table_level))
         return GroupoidFunction._wrap(d, support_level, table_level, table)
 
     def _common(self, other):
@@ -200,17 +196,7 @@ def jones_kernel(diagram, n):
     d = diagram
     if not 0 <= n <= d.depth:
         raise ValueError("level %d out of range 0..%d" % (n, d.depth))
-
-    def build():
-        table = {}
-        for gids in d.block_paths(n):
-            val = as_scalar(Fraction(1, len(gids)))
-            for a in gids:
-                for b in gids:
-                    table[(a, b)] = val
-        return GroupoidFunction(d, n, n, table)
-
-    return d.memo(("jones_kernel", n), build)
+    return d.memo(("jones_kernel", n), lambda: represent(jones_projection(d, n)))
 
 
 def represent(x):
@@ -220,19 +206,11 @@ def represent(x):
     word #r(gamma) * diag(I_gamma) @ jones_kernel(n) @ diag(I_delta).  The
     diagonal factors pick out the single kernel entry at (gamma, delta),
     whose value 1/#r(gamma) cancels the normalization, so the word is the
-    point mass at that pair and the map just re-keys the block entries by
-    path ids.  (The ``word_kernel`` form below keeps the defining product
-    available for cross-checking.)
+    point mass at that pair.  Both algebras key their tables by path-id
+    pairs, so the map keeps the table as it is.  (The ``word_kernel`` form
+    below keeps the defining product available for cross-checking.)
     """
-    d = x.diagram
-    n = x.level
-    groups = d.block_paths(n)
-    out = {}
-    for v, block in enumerate(x.blocks):
-        gids = groups[v]
-        for (i, j), val in block.items():
-            out[(gids[i], gids[j])] = val
-    return GroupoidFunction._wrap(d, n, n, out)
+    return GroupoidFunction._wrap(x.diagram, x.level, x.level, x.table)
 
 
 def word_kernel(diagram, gamma, delta):

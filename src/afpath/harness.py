@@ -19,17 +19,15 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalars import Scalar, ZERO
+from .scalars import Scalar
 from .diagram import (
     BratteliDiagram,
     Edge,
-    FinitePath,
     Vertex,
     builtin_diagram,
     builtin_name,
     format_path,
     parse_diagram,
-    DEFAULT_DEPTHS,
 )
 from .cylinder import CylinderFunction, constant, indicator_path, indicator_vertex, indicator_edge
 from .expectation import class_sum, expect, expect_indicator, quasi_basis_apply, prefix_sum_check
@@ -543,9 +541,7 @@ def _suite_tower(ctx, chk, rng):
         )
         for n in range(m + 1):
             e_n = jones_projection(d, n, m)
-            pcost = sum(len(b) for b in e_n.blocks) * max(
-                d.path_count(v) for v in d.vertices(n)
-            )
+            pcost = len(e_n.table) * max(d.path_count(v) for v in d.vertices(n))
             if pcost <= 250000:
                 chk.ok(e_n * e_n == e_n, "projection-idempotent;n=%d;m=%d" % (n, m))
             chk.ok(e_n.adjoint() == e_n, "projection-selfadjoint;n=%d;m=%d" % (n, m))
@@ -558,9 +554,7 @@ def _suite_tower(ctx, chk, rng):
             e_n = jones_projection(d, n, m)
             # one sandwich costs about nnz(e_n) x class size multiplications;
             # scale the sample count down as that grows
-            cost = sum(len(b) for b in e_n.blocks) * max(
-                d.path_count(v) for v in d.vertices(n)
-            )
+            cost = len(e_n.table) * max(d.path_count(v) for v in d.vertices(n))
             if cost <= 10000:
                 count = ctx.samples
             elif cost <= 200000:

@@ -72,6 +72,8 @@ def test_constructor_validates(car):
         AfElement(car, 1, [{(0, 5): 1}])  # column index outside the 2x2 block
     with pytest.raises(ValueError):
         AfElement(car, 9, [{}])
+    with pytest.raises(ValueError):
+        AfElement.zero(car, 9)
 
 
 def test_entry_and_dense_block(car):
@@ -80,6 +82,8 @@ def test_entry_and_dense_block(car):
     assert u.entry(a, b) == ONE
     assert u.entry(b, a) == ZERO
     assert u.dense_block(0) == [[ZERO, ONE], [ZERO, ZERO]]
+    with pytest.raises(ValueError):
+        u.entry(car.paths(2)[0], b)  # a length-2 path has no row at stage 1
 
 
 def test_matrix_unit_requires_matching_terminals(fibonacci):

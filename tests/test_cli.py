@@ -113,6 +113,16 @@ def test_embed_matrix(capsys):
     assert out == ["# realized multiplicities, stage 2 -> 3", "1 1", "1 0", "match=yes"]
 
 
+def test_embed_matrix_deep_chain_does_not_recurse(tmp_path, capsys):
+    p = tmp_path / "chain.bratteli"
+    p.write_text(
+        "BRATTELI 1\nlevels 400\nvertices %s\n" % " ".join(["1"] * 401)
+        + "".join("incidence %d\n1\n" % n for n in range(400))
+    )
+    assert main(["embed-matrix", str(p), "--level", "399"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "match=yes"
+
+
 def test_embed_matrix_level_bounds(capsys):
     assert main(["embed-matrix", "car", "--level", "5"]) == 2
     assert capsys.readouterr().err.startswith("error:")

@@ -88,6 +88,20 @@ def test_paths_are_sorted_and_indexed(car, pascal):
                 assert d.path_id(p) == gid
 
 
+def test_paths_deep_chain_does_not_recurse():
+    d = BratteliDiagram([1] * 601, [((1,),)] * 600)
+    assert len(d.paths(600)) == 1
+
+
+def test_paths_resume_from_the_deepest_built_level():
+    fresh = builtin_diagram("fibonacci")
+    d = builtin_diagram("fibonacci")
+    d.paths(2)
+    d.paths(4)
+    for n in range(d.depth + 1):
+        assert d.paths(n) == fresh.paths(n)
+
+
 def test_path_id_rejects_foreign_path(car, pascal):
     # paths are value objects: the leftmost pascal path uses the same edge
     # data as a car path, so it is accepted; one through vertex (1, 1) is not

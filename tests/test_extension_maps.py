@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from afpath import BratteliDiagram, represent
+from afpath import AfElement, BratteliDiagram, Scalar, represent
 from afpath.harness import random_af_element, random_cylinder, random_groupoid_function
 
 # Vertices 1,3,3,3,3 with multiplicities 0-2 and uneven fan-in: 4, 9, 21
@@ -119,3 +119,35 @@ def test_represent_intertwines_embed_and_widen():
         for _ in range(3):
             x = random_af_element(d, n, rng)
             assert represent(x.embed()) == represent(x).widen(n + 1, n + 1)
+
+
+def _sparse_af_element(d, n, rng):
+    blocks = []
+    for gids in d.block_paths(n):
+        size = len(gids)
+        blocks.append({
+            (rng.randrange(size), rng.randrange(size)): Scalar(rng.randint(-2, 2), rng.randint(-1, 1))
+            for _ in range(size + 1)
+        })
+    return AfElement(d, n, blocks)
+
+
+def test_block_view_round_trips_the_pair_table():
+    d = MIXED
+    rng = random.Random(13)
+    for n in range(d.depth + 1):
+        pos = d.block_pos(n)
+        for x in (random_af_element(d, n, rng), _sparse_af_element(d, n, rng)):
+            assert all(x.table.values())
+            assert AfElement(d, n, x.blocks) == x
+            assert represent(x).table == x.table
+            entries = list(x.nonzero_entries())
+            keys = [(v, pos[d.path_id(z)][1], pos[d.path_id(h)][1]) for v, z, h, _ in entries]
+            assert keys == sorted(keys)
+            assert {(d.path_id(z), d.path_id(h)): val for _, z, h, val in entries} == x.table
+            for v, gids in enumerate(d.block_paths(n)):
+                dense = x.dense_block(v)
+                assert x.trace_block(v) == sum((dense[i][i] for i in range(len(gids))), Scalar(0))
+            if n < d.depth:
+                assert (x == x.embed()) is False
+                assert (AfElement.zero(d, n) == AfElement.zero(d, n + 1)) is False
