@@ -1,23 +1,31 @@
-"""Sparse Gaussian-rational kernels for the tower and kernel algebras.
+"""Exact integer forms of tables and the kernels that work on them.
 
-A table maps keys to nonzero Scalars; both algebras key theirs by pairs of
-path ids.  ``product`` and ``class_sums`` turn each operand once into
-Gaussian-integer numerators (Python ints) over one common denominator,
-multiply and add only ints, and turn each nonzero result back into reduced
-Fractions once: Bareiss's integer-preserving idea (Math. Comp. 22, 1968)
-applied to products and sums.  Results equal the naive Scalar computation,
-with zero cells dropped, so reports do not change.
+A table of Scalars has an exact form: Gaussian-integer numerators (Python
+ints) over one common denominator, Bareiss's integer-preserving idea
+(Math. Comp. 22, 1968).  A cylinder table's form is ``(den, res, ims)``,
+two lists aligned with the table; a pair table's form is a row *index*
+``(den, top, width, rows)`` with ``rows[i] = (cols, res, ims)`` in table
+order, where ``top`` bounds every numerator's size and ``width`` every
+row's length.  Conversions and arithmetic kernels return reduced forms (no
+integer > 1 divides the denominator and all numerators); a re-indexed or
+extended form may not be, which costs only size, since converting back
+reduces every Fraction.
+
+The kernels here take and return forms, add and multiply only ints, and
+``_scalars`` turns a result back into reduced Fractions once.  Each table
+owner carries its form with it (``PairTable``, ``CylinderFunction``), so
+chained operations never convert back.  Results equal the naive Scalar
+computation, so reports do not change.
 """
 
 from fractions import Fraction
-from itertools import chain
-from math import lcm
+from math import gcd, lcm
 
 from .scalars import Scalar, ZERO
 
 
-def _numerators(values):
-    """A common denominator of ``values`` and their real and imaginary numerators over it."""
+def form(values):
+    """The reduced form ``(den, res, ims)`` of a sequence of Scalars."""
     ratios = [(x.re.as_integer_ratio(), x.im.as_integer_ratio()) for x in values]
     den = lcm(*{d for (_, d), _ in ratios}, *{d for _, (_, d) in ratios})
     return (
@@ -27,8 +35,199 @@ def _numerators(values):
     )
 
 
+def _reduced(den, res, ims):
+    g = gcd(den, *res, *ims)
+    if g == 1:
+        return den, res, ims
+    return den // g, [x // g for x in res], [x // g for x in ims]
+
+
+def _scalars(den, res, ims):
+    """The Scalar ``(re + im*i) / den`` of each numerator pair, ZERO for zero.
+
+    Equal numerators share one reduced Fraction, so a table with few
+    distinct values costs few Fraction constructions.
+    """
+    part = {x: Fraction(x, den) for x in {*res, *ims}}
+    return [Scalar._of(part[re], part[im]) if re or im else ZERO for re, im in zip(res, ims)]
+
+
+def scalar_table(f):
+    """The tuple of Scalars that a cylinder form stands for."""
+    return tuple(_scalars(*f))
+
+
+# -- cylinder forms: aligned lists --------------------------------------------------
+
+
+def reindex(f, ids):
+    """The form of the table ``[table[p] for p in ids]``."""
+    den, res, ims = f
+    return den, [res[p] for p in ids], [ims[p] for p in ids]
+
+
+def combine(f, g, sign=1):
+    """The entrywise ``f + sign*g`` of two aligned forms, in one pass."""
+    den_f, res_f, ims_f = f
+    den_g, res_g, ims_g = g
+    den = lcm(den_f, den_g)
+    sf = den // den_f
+    sg = sign * (den // den_g)
+    return _reduced(
+        den,
+        [x * sf + y * sg for x, y in zip(res_f, res_g)],
+        [x * sf + y * sg for x, y in zip(ims_f, ims_g)],
+    )
+
+
+def multiply(f, g):
+    """The entrywise product of two aligned forms."""
+    den_f, res_f, ims_f = f
+    den_g, res_g, ims_g = g
+    if not any(ims_f) and not any(ims_g):
+        return _reduced(den_f * den_g, [x * y for x, y in zip(res_f, res_g)], ims_f)
+    return _reduced(
+        den_f * den_g,
+        [a * c - b * d for a, b, c, d in zip(res_f, ims_f, res_g, ims_g)],
+        [a * d + b * c for a, b, c, d in zip(res_f, ims_f, res_g, ims_g)],
+    )
+
+
+def _times(c, res, ims):
+    """The numerators of ``c * (res + ims*i)`` for a Gaussian integer ``c = (re, im)``."""
+    cr, ci = c
+    if not ci:
+        return [cr * x for x in res], [cr * y for y in ims]
+    return [cr * x - ci * y for x, y in zip(res, ims)], [cr * y + ci * x for x, y in zip(res, ims)]
+
+
+def scale(c, f):
+    """The form ``c * f`` for a Scalar c."""
+    (cd, (cr,), (ci,)), (den, res, ims) = form((c,)), f
+    return _reduced(cd * den, *_times((cr, ci), res, ims))
+
+
+def class_sums(f, classes, mean=False):
+    """The sum of a form's entries over each class of indices, as a form.
+
+    With ``mean`` each sum is divided by its class size.
+    """
+    den, res, ims = f
+    sums_re = [sum(map(res.__getitem__, cls)) for cls in classes]
+    sums_im = [sum(map(ims.__getitem__, cls)) for cls in classes]
+    if not mean:
+        return _reduced(den, sums_re, sums_im)
+    # The mean of class c is sum_c / (den * size_c) = sum_c * (L / size_c) / (den * L).
+    sizes = [len(cls) for cls in classes]
+    big = lcm(*sizes)
+    return _reduced(
+        den * big,
+        [x * (big // s) for x, s in zip(sums_re, sizes)],
+        [y * (big // s) for y, s in zip(sums_im, sizes)],
+    )
+
+
+# -- pair forms: row indexes ----------------------------------------------------------
+
+
+def index(table):
+    """The row index of a sparse pair table ``{(i, j): nonzero Scalar}``."""
+    den, res, ims = form(table.values())
+    rows = {}
+    for (i, j), re, im in zip(table, res, ims):
+        row = rows.get(i)
+        if row is None:
+            row = rows[i] = ([], [], [])
+        row[0].append(j)
+        row[1].append(re)
+        row[2].append(im)
+    return _indexed(den, rows)
+
+
+def diagonal(f):
+    """The row index of the diagonal pair table ``{(g, g): f[g]}`` of a cylinder form."""
+    den, res, ims = f
+    return _indexed(den, {g: ([g], [x], [y]) for g, (x, y) in enumerate(zip(res, ims)) if x or y})
+
+
+def _indexed(den, rows):
+    """Reduce a row map over ``den`` and add its size bounds."""
+    res, ims, width = [], [], 0
+    for cols, row_res, row_ims in rows.values():
+        res += row_res
+        ims += row_ims
+        width = max(width, len(cols))
+    if not res:
+        return 1, 0, 0, rows
+    g = gcd(den, *res, *ims)
+    if g != 1:
+        den //= g
+        rows = {
+            i: (cols, [x // g for x in row_res], [y // g for y in row_ims])
+            for i, (cols, row_res, row_ims) in rows.items()
+        }
+    return den, max(max(res), -min(res), max(ims), -min(ims)) // g, width, rows
+
+
+class PairTable:
+    """Holder of a sparse pair table as Scalars, as a row index, or both.
+
+    Each is filled from the other on first use, so a chain of products
+    builds Scalars only for the results someone reads.
+    """
+
+    __slots__ = ("_table", "_index")
+
+    @property
+    def table(self):
+        """The nonzero entries ``{(path id, path id): Scalar}``."""
+        if self._table is None:
+            self._table = pair_table(self._index)
+        return self._table
+
+    def _row_index(self):
+        if self._index is None:
+            self._index = index(self._table)
+        return self._index
+
+    def is_zero(self):
+        return not (self._index[3] if self._table is None else self._table)
+
+    def _extended(self, offsets):
+        """``(table, index)`` copied onto extensions (see ``extend_pairs``).
+
+        The index is extended when held, else the table; the other is None.
+        """
+        if self._index is not None:
+            return None, extend_index(self._index, offsets)
+        return extend_pairs(self._table, offsets), None
+
+
+def pair_table(idx):
+    """The sparse Scalar table ``{(i, j): value}`` that a row index stands for."""
+    den, _, _, rows = idx
+    keys, res, ims = [], [], []
+    for i, (cols, row_res, row_ims) in rows.items():
+        keys += [(i, j) for j in cols]
+        res += row_res
+        ims += row_ims
+    return dict(zip(keys, _scalars(den, res, ims)))
+
+
+def scale_index(c, idx):
+    """The row index of ``c * table`` for a nonzero Scalar c."""
+    (cd, (cr,), (ci,)), (den, _, _, rows) = form((c,)), idx
+    return _indexed(
+        cd * den, {i: (cols, *_times((cr, ci), res, ims)) for i, (cols, res, ims) in rows.items()}
+    )
+
+
 def product(a, b):
-    """The sparse matrix product ``{(i,k): x} x {(k,j): y} -> {(i,j): sum x*y}``.
+    """The row index of the sparse matrix product of two row indexes.
+
+    ``{(i,k): x} x {(k,j): y} -> {(i,j): sum x*y}``.  Only the rows of b
+    that a reaches are read, so the cost is the size of a plus those rows,
+    however large b is.
 
     Each Gaussian integer ``re + im*i`` is packed into the single int
     ``re + im*2**shift`` (Kronecker substitution), so one int multiply-add
@@ -36,40 +235,30 @@ def product(a, b):
     digits.  ``shift`` is chosen so that no digit of any cell's sum can
     reach half of ``2**shift``, which makes the signed digits recoverable.
     """
-    # Only the rows of b that a reaches, and the entries of a that reach a
-    # row of b, take part; the rest are never converted.
-    reach = {k for _, k in a}
-    b_cells = [(k, j, val) for (k, j), val in b.items() if k in reach]
-    reach = {k for k, _, _ in b_cells}
-    a_cells = [(i, k, val) for (i, k), val in a.items() if k in reach]
-    if not a_cells:
-        return {}
-    den_a, res_a, ims_a = _numerators([val for _, _, val in a_cells])
-    den_b, res_b, ims_b = _numerators([val for _, _, val in b_cells])
-    top = max(map(abs, chain(res_a, ims_a))) * max(map(abs, chain(res_b, ims_b)))
-    # A cell sums at most len(a_cells) terms, and each digit of a term is
-    # at most 2 * top in size.
-    shift = (len(a_cells) * top).bit_length() + 2
-    rows = {}
-    for (k, j, _), re, im in zip(b_cells, res_b, ims_b):
-        rows.setdefault(k, []).append((j, re + (im << shift)))
-    lefts = {}
-    for (i, k, _), re, im in zip(a_cells, res_a, ims_a):
-        lefts.setdefault(i, []).append((re + (im << shift), rows[k]))
+    den_a, top_a, width_a, rows_a = a
+    den_b, top_b, _, rows_b = b
+    # A cell of row i sums at most len(row i of a) terms, and each digit of
+    # a term is at most 2 * top_a * top_b in size.
+    shift = (width_a * top_a * top_b).bit_length() + 2
     size = 1 << shift
     half = size >> 1
     mask = size - 1
-    den = den_a * den_b
-    # Cells in a row often share a part (a real table, a uniform block),
-    # so a part equal to the previous one reuses its Fraction.
-    last_re = last_im = None
+    packed = {}
     out = {}
-    for i, terms in lefts.items():
+    for i, (ks, res_i, ims_i) in rows_a.items():
         acc = {}
         get = acc.get
-        for x, row in terms:
+        for k, re, im in zip(ks, res_i, ims_i):
+            row = packed.get(k)
+            if row is None:
+                if k not in rows_b:
+                    continue
+                cols, res_k, ims_k = rows_b[k]
+                row = packed[k] = list(zip(cols, [x + (y << shift) for x, y in zip(res_k, ims_k)]))
+            x = re + (im << shift)
             for j, y in row:
                 acc[j] = get(j, 0) + x * y
+        cols, res_out, ims_out = [], [], []
         for j, v in acc.items():
             c0 = v & mask
             if c0 >= half:
@@ -80,31 +269,12 @@ def product(a, b):
                 c1 -= size
             re = c0 - ((v - c1) >> shift)
             if re or c1:
-                if re != last_re:
-                    last_re, fre = re, Fraction(re, den)
-                if c1 != last_im:
-                    last_im, fim = c1, Fraction(c1, den)
-                out[(i, j)] = Scalar._of(fre, fim)
-    return out
-
-
-def class_sums(table, classes, mean=False):
-    """The sum of ``table`` over each class of indices, as one Scalar per class.
-
-    ``table`` is a sequence of Scalars; with ``mean`` each sum is divided by
-    its class size.
-    """
-    den, res, ims = _numerators(table)
-    out = []
-    for cls in classes:
-        re = sum(map(res.__getitem__, cls))
-        im = sum(map(ims.__getitem__, cls))
-        if re or im:
-            d = den * len(cls) if mean else den
-            out.append(Scalar._of(Fraction(re, d), Fraction(im, d)))
-        else:
-            out.append(ZERO)
-    return out
+                cols.append(j)
+                res_out.append(re)
+                ims_out.append(c1)
+        if cols:
+            out[i] = (cols, res_out, ims_out)
+    return _indexed(den_a * den_b, out)
 
 
 def extend_pairs(table, offsets):
@@ -120,6 +290,17 @@ def extend_pairs(table, offsets):
         for (a, b), val in table.items()
         for pair in zip(range(offsets[a], offsets[a + 1]), range(offsets[b], offsets[b + 1]))
     }
+
+
+def extend_index(idx, offsets):
+    """The row index of ``extend_pairs`` of the table that ``idx`` stands for."""
+    den, top, width, rows = idx
+    out = {}
+    for a, (cols, res, ims) in rows.items():
+        start = offsets[a]
+        for t in range(offsets[a + 1] - start):
+            out[start + t] = ([offsets[b] + t for b in cols], res, ims)
+    return den, top, width, out
 
 
 def _merge(a, b, op):

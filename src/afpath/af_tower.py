@@ -16,17 +16,22 @@ per-vertex view with positions inside each block.
 
 from fractions import Fraction
 
-from ._exact import add, extend_pairs, product, subtract
+from . import _exact
+from ._exact import add, subtract
 from .scalars import Scalar, ZERO, ONE, as_scalar
 from .cylinder import indicator_path
 
 _SCALAR_TYPES = (int, Fraction, Scalar)
 
 
-class AfElement:
-    """One element of the stage-n block-matrix algebra."""
+class AfElement(_exact.PairTable):
+    """One element of the stage-n block-matrix algebra.
 
-    __slots__ = ("diagram", "level", "table")
+    Products and scaling work on the table's exact row index (see
+    ``_exact.PairTable``).
+    """
+
+    __slots__ = ("diagram", "level")
 
     def __init__(self, diagram, level, blocks):
         if not 0 <= level <= diagram.depth:
@@ -45,19 +50,25 @@ class AfElement:
                     table[(gids[i], gids[j])] = val
         self.diagram = diagram
         self.level = level
-        self.table = table
+        self._table = table
+        self._index = None
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def _wrap(cls, diagram, level, table):
+    def _wrap(cls, diagram, level, table, index=None):
         # Internal fast path: the table is already clean (nonzero Scalars at
         # pairs of same-terminal path ids), so skip the validation pass.
         x = object.__new__(cls)
         x.diagram = diagram
         x.level = level
-        x.table = table
+        x._table = table
+        x._index = index
         return x
+
+    @classmethod
+    def _from_index(cls, diagram, level, index):
+        return cls._wrap(diagram, level, None, index)
 
     @classmethod
     def zero(cls, diagram, level):
@@ -114,9 +125,6 @@ class AfElement:
                 total = total + val
         return total
 
-    def is_zero(self):
-        return not self.table
-
     # -- *-algebra operations -----------------------------------------------------
 
     def _require_compatible(self, other):
@@ -143,10 +151,11 @@ class AfElement:
             c = as_scalar(other)
             if not c:
                 return AfElement.zero(self.diagram, self.level)
-            table = {key: c * val for key, val in self.table.items()}
-            return AfElement._wrap(self.diagram, self.level, table)
+            return AfElement._from_index(self.diagram, self.level, _exact.scale_index(c, self._row_index()))
         self._require_compatible(other)
-        return AfElement._wrap(self.diagram, self.level, product(self.table, other.table))
+        return AfElement._from_index(
+            self.diagram, self.level, _exact.product(self._row_index(), other._row_index())
+        )
 
     def __rmul__(self, other):
         if isinstance(other, _SCALAR_TYPES):
@@ -177,7 +186,7 @@ class AfElement:
         n = self.level
         if n >= d.depth:
             raise ValueError("cannot embed past the truncation depth %d" % d.depth)
-        return AfElement._wrap(d, n + 1, extend_pairs(self.table, d.children(n)))
+        return AfElement._wrap(d, n + 1, *self._extended(d.children(n)))
 
     def embed_to(self, m):
         """Iterate the inclusion up to stage m >= level."""
@@ -210,8 +219,7 @@ def matrix_unit(diagram, gamma, delta):
 
 def represent_cylinder(f):
     """A level-m cylinder function as the diagonal matrix of its table."""
-    table = {(gid, gid): val for gid, val in enumerate(f.table) if val}
-    return AfElement._wrap(f.diagram, f.level, table)
+    return AfElement._from_index(f.diagram, f.level, _exact.diagonal(f._exact_form()))
 
 
 def jones_projection(diagram, n, m=None):

@@ -9,15 +9,22 @@ their tables match entrywise.
 
 from fractions import Fraction
 
-from .scalars import Scalar, ZERO, ONE, as_scalar
+from . import _exact
+from .scalars import Scalar, as_scalar
 
 _SCALAR_TYPES = (int, Fraction, Scalar)
 
 
 class CylinderFunction:
-    """A level-m function table over the canonical path enumeration."""
+    """A level-m function table over the canonical path enumeration.
 
-    __slots__ = ("diagram", "level", "table")
+    The table is held as Scalars, as its exact integer form (see
+    ``_exact``), or both: each is filled from the other on first use.
+    Arithmetic works on the form and leaves the Scalars to be built only
+    if someone reads ``table``.
+    """
+
+    __slots__ = ("diagram", "level", "_table", "_form")
 
     def __init__(self, diagram, level, table):
         if not 0 <= level <= diagram.depth:
@@ -29,17 +36,43 @@ class CylinderFunction:
             )
         self.diagram = diagram
         self.level = level
-        self.table = table
+        self._table = table
+        self._form = None
 
     @classmethod
-    def _wrap(cls, diagram, level, table):
+    def _wrap(cls, diagram, level, table, form=None):
         # Internal fast path: the table is already a tuple of Scalars of the
-        # right length, so skip the constructor's coercion pass.
+        # right length (or None when the form is given), so skip the
+        # constructor's coercion pass.
         f = object.__new__(cls)
         f.diagram = diagram
         f.level = level
-        f.table = table
+        f._table = table
+        f._form = form
         return f
+
+    @classmethod
+    def _from_form(cls, diagram, level, form):
+        return cls._wrap(diagram, level, None, form)
+
+    @property
+    def table(self):
+        """The values as a tuple of Scalars, in canonical path order."""
+        if self._table is None:
+            self._table = _exact.scalar_table(self._form)
+        return self._table
+
+    def _exact_form(self, m=None):
+        """The exact form, re-indexed to level m >= level when given.
+
+        A missing form is converted at this level, where the table is
+        smallest, and kept.
+        """
+        if self._form is None:
+            self._form = _exact.form(self._table)
+        if m is None or m == self.level:
+            return self._form
+        return _exact.reindex(self._form, self.diagram.prefix_ids(m, self.level))
 
     # -- structure -----------------------------------------------------------
 
@@ -49,8 +82,15 @@ class CylinderFunction:
             raise ValueError("cannot refine level %d down to %d" % (self.level, m))
         if m == self.level:
             return self
+        # Re-index whichever of the two tables is held, and build neither.
         prefix = self.diagram.prefix_ids(m, self.level)
-        return CylinderFunction._wrap(self.diagram, m, tuple(self.table[p] for p in prefix))
+        table, form = self._table, self._form
+        return CylinderFunction._wrap(
+            self.diagram,
+            m,
+            None if table is None else tuple(table[p] for p in prefix),
+            None if form is None else _exact.reindex(form, prefix),
+        )
 
     def eval(self, path):
         """Value on any rooted path of length >= level (tails are immaterial)."""
@@ -58,69 +98,62 @@ class CylinderFunction:
             raise ValueError("path of length %d cannot determine a level-%d value" % (len(path), self.level))
         return self.table[self.diagram.path_id(path.prefix(self.level))]
 
-    def _common(self, other):
-        if not isinstance(other, CylinderFunction):
+    def _combined(self, other, op):
+        """``op`` on the two operands' forms at their common level."""
+        if isinstance(other, _SCALAR_TYPES):
+            other = constant(self.diagram, other)
+        elif not isinstance(other, CylinderFunction):
             raise TypeError("expected a CylinderFunction, got %s" % type(other).__name__)
-        if other.diagram is not self.diagram:
+        elif other.diagram is not self.diagram:
             raise ValueError("operands live on different diagrams")
         m = max(self.level, other.level)
-        return self.refine(m), other.refine(m)
+        return CylinderFunction._from_form(self.diagram, m, op(self._exact_form(m), other._exact_form(m)))
 
     # -- *-algebra operations --------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, _SCALAR_TYPES):
-            other = constant(self.diagram, other)
-        f, g = self._common(other)
-        return CylinderFunction._wrap(
-            f.diagram,
-            f.level,
-            tuple((a + b) if a and b else (a if not b else b) for a, b in zip(f.table, g.table)),
-        )
+        return self._combined(other, _exact.combine)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-1) * other
+        return self._combined(other, lambda f, g: _exact.combine(f, g, -1))
 
     def __rsub__(self, other):
-        return (-1) * self + other
+        return self._combined(other, lambda f, g: _exact.combine(g, f, -1))
 
     def __neg__(self):
-        return (-1) * self
+        return self * -1
 
     def __mul__(self, other):
         if isinstance(other, _SCALAR_TYPES):
-            c = as_scalar(other)
-            return CylinderFunction._wrap(
-                self.diagram, self.level, tuple(c * x if x else ZERO for x in self.table)
+            return CylinderFunction._from_form(
+                self.diagram, self.level, _exact.scale(as_scalar(other), self._exact_form())
             )
-        f, g = self._common(other)
-        return CylinderFunction._wrap(
-            f.diagram, f.level, tuple(a * b if a and b else ZERO for a, b in zip(f.table, g.table))
-        )
+        return self._combined(other, _exact.multiply)
 
     __rmul__ = __mul__
 
     def conjugate(self):
-        return CylinderFunction._wrap(
-            self.diagram, self.level, tuple(x.conjugate() for x in self.table)
-        )
+        den, res, ims = self._exact_form()
+        return CylinderFunction._from_form(self.diagram, self.level, (den, res, [-y for y in ims]))
 
     def __eq__(self, other):
         if not isinstance(other, CylinderFunction):
             return NotImplemented
         if other.diagram is not self.diagram:
             return False
-        f, g = self._common(other)
-        return f.table == g.table
+        m = max(self.level, other.level)
+        return self.refine(m).table == other.refine(m).table
 
     # Equal functions may be tabulated at different levels, so no hash
     # of the table could agree with __eq__.
     __hash__ = None
 
     def is_zero(self):
-        return not any(self.table)
+        if self._form is not None:
+            return not any(self._form[1]) and not any(self._form[2])
+        return not any(self._table)
 
     # -- analysis ---------------------------------------------------------------
 
@@ -132,25 +165,23 @@ class CylinderFunction:
         """
         if not 0 <= n <= self.diagram.depth:
             raise ValueError("level %d out of range 0..%d" % (n, self.diagram.depth))
-        f = self.refine(max(self.level, n))
-        classes, _ = self.diagram.tail_classes(f.level, n)
+        m = max(self.level, n)
+        classes, _ = self.diagram.tail_classes(m, n)
+        # Entries over one denominator are equal exactly when their numerators are.
+        _, res, ims = self._exact_form(m)
         for cls in classes:
-            first = f.table[cls[0]]
-            if any(f.table[g] != first for g in cls[1:]):
+            first = cls[0]
+            if any(res[g] != res[first] or ims[g] != ims[first] for g in cls[1:]):
                 return False
         return True
 
     def sup_norm_sq(self):
         """Largest squared modulus over the table (a Fraction)."""
-        best = ZERO.abs_sq()
-        for x in self.table:
-            a = x.abs_sq()
-            if a > best:
-                best = a
-        return best
+        den, res, ims = self._exact_form()
+        return Fraction(max((x * x + y * y for x, y in zip(res, ims)), default=0), den * den)
 
     def __repr__(self):
-        return "CylinderFunction(level=%d, %d entries)" % (self.level, len(self.table))
+        return "CylinderFunction(level=%d, %d entries)" % (self.level, len(self.diagram.paths(self.level)))
 
 
 # -- constructors ---------------------------------------------------------------
@@ -164,17 +195,15 @@ def constant(diagram, value):
 def indicator_path(diagram, path):
     """The indicator of all paths extending the given rooted path."""
     n = len(path)
-    gid = diagram.path_id(path)
-    table = [ZERO] * len(diagram.paths(n))
-    table[gid] = ONE
-    return CylinderFunction(diagram, n, table)
+    bits = [0] * len(diagram.paths(n))
+    bits[diagram.path_id(path)] = 1
+    return _indicator(diagram, n, bits)
 
 
 def indicator_vertex(diagram, v):
     """The indicator of paths passing through vertex v, at level v.level."""
     diagram._check_vertex(v)
-    table = [ONE if p.terminal() == v else ZERO for p in diagram.paths(v.level)]
-    return CylinderFunction(diagram, v.level, table)
+    return _indicator(diagram, v.level, [int(p.terminal() == v) for p in diagram.paths(v.level)])
 
 
 def indicator_edge(diagram, edge):
@@ -184,5 +213,9 @@ def indicator_edge(diagram, edge):
         raise ValueError("edge %r exceeds depth %d" % (edge, diagram.depth))
     if edge not in diagram.edges_from(edge.source_vertex()):
         raise ValueError("%r is not an edge of this diagram" % (edge,))
-    table = [ONE if p.edges[edge.level] == edge else ZERO for p in diagram.paths(n)]
-    return CylinderFunction(diagram, n, table)
+    return _indicator(diagram, n, [int(p.edges[edge.level] == edge) for p in diagram.paths(n)])
+
+
+def _indicator(diagram, level, bits):
+    """The 0/1 function with the given list of ints as its table."""
+    return CylinderFunction._from_form(diagram, level, (1, bits, [0] * len(bits)))

@@ -9,7 +9,7 @@ max(level(f), n).
 
 from fractions import Fraction
 
-from ._exact import class_sums
+from ._exact import class_sums, reindex
 from .cylinder import CylinderFunction, indicator_vertex
 from .scalars import ZERO
 
@@ -28,10 +28,10 @@ def _averaged(f, n, mean):
     d = f.diagram
     if not 0 <= n <= d.depth:
         raise ValueError("level %d out of range 0..%d" % (n, d.depth))
-    g = f.refine(max(f.level, n))
-    classes, class_of = d.tail_classes(g.level, n)
-    sums = class_sums(g.table, classes, mean)
-    return CylinderFunction._wrap(d, g.level, tuple(sums[c] for c in class_of))
+    m = max(f.level, n)
+    classes, class_of = d.tail_classes(m, n)
+    sums = class_sums(f._exact_form(m), classes, mean)
+    return CylinderFunction._from_form(d, m, reindex(sums, class_of))
 
 
 def expect_indicator(diagram, gamma):

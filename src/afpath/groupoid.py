@@ -11,7 +11,8 @@ changing the function it represents.
 
 from fractions import Fraction
 
-from ._exact import add, extend_pairs, product, subtract
+from . import _exact
+from ._exact import add, subtract
 from .scalars import Scalar, ZERO, as_scalar
 from .af_tower import jones_projection
 from .cylinder import constant, indicator_path
@@ -19,10 +20,14 @@ from .cylinder import constant, indicator_path
 _SCALAR_TYPES = (int, Fraction, Scalar)
 
 
-class GroupoidFunction:
-    """A finitely supported kernel on level-n tail pairs, tabulated at level m."""
+class GroupoidFunction(_exact.PairTable):
+    """A finitely supported kernel on level-n tail pairs, tabulated at level m.
 
-    __slots__ = ("diagram", "support_level", "table_level", "table")
+    Convolution and scaling work on the table's exact row index (see
+    ``_exact.PairTable``).
+    """
+
+    __slots__ = ("diagram", "support_level", "table_level")
 
     def __init__(self, diagram, support_level, table_level, table):
         d = diagram
@@ -46,29 +51,32 @@ class GroupoidFunction:
         self.diagram = d
         self.support_level = support_level
         self.table_level = table_level
-        self.table = clean
+        self._table = clean
+        self._index = None
 
     # -- structure ---------------------------------------------------------------
 
     @classmethod
-    def _wrap(cls, diagram, support_level, table_level, table):
+    def _wrap(cls, diagram, support_level, table_level, table, index=None):
         # Internal fast path: the table is already clean (admissible pairs,
         # nonzero Scalar values), so skip the constructor's validation pass.
         x = object.__new__(cls)
         x.diagram = diagram
         x.support_level = support_level
         x.table_level = table_level
-        x.table = table
+        x._table = table
+        x._index = index
         return x
+
+    @classmethod
+    def _from_index(cls, diagram, support_level, table_level, index):
+        return cls._wrap(diagram, support_level, table_level, None, index)
 
     @classmethod
     def zero(cls, diagram, support_level=0, table_level=None):
         if table_level is None:
             table_level = support_level
         return cls(diagram, support_level, table_level, {})
-
-    def is_zero(self):
-        return not self.table
 
     def entries(self):
         """Yield (row path, col path, value) sorted by the canonical pair order."""
@@ -78,6 +86,8 @@ class GroupoidFunction:
 
     def value(self, alpha, beta):
         """The tabulated value at a pair of length-``table_level`` paths."""
+        if len(alpha) != self.table_level or len(beta) != self.table_level:
+            raise ValueError("value needs two paths of length %d" % self.table_level)
         d = self.diagram
         return self.table.get((d.path_id(alpha), d.path_id(beta)), ZERO)
 
@@ -105,8 +115,9 @@ class GroupoidFunction:
             return self
         # An admissible pair ends at one vertex, so its t-th extensions
         # follow the same segment and stay admissible.
-        table = extend_pairs(self.table, d.descendants(self.table_level, table_level))
-        return GroupoidFunction._wrap(d, support_level, table_level, table)
+        return GroupoidFunction._wrap(
+            d, support_level, table_level, *self._extended(d.descendants(self.table_level, table_level))
+        )
 
     def _common(self, other):
         if not isinstance(other, GroupoidFunction):
@@ -139,11 +150,8 @@ class GroupoidFunction:
             c = as_scalar(other)
             if not c:
                 return GroupoidFunction.zero(self.diagram, self.support_level, self.table_level)
-            return GroupoidFunction._wrap(
-                self.diagram,
-                self.support_level,
-                self.table_level,
-                {key: c * val for key, val in self.table.items()},
+            return GroupoidFunction._from_index(
+                self.diagram, self.support_level, self.table_level, _exact.scale_index(c, self._row_index())
             )
         raise TypeError("use convolve (or @) for kernel products, * for scalars")
 
@@ -178,16 +186,14 @@ class GroupoidFunction:
 def convolve(F, G):
     """Kernel product: (F * G)(a, b) = sum over middle paths c of F(a,c) G(c,b)."""
     F2, G2 = F._common(G)
-    return GroupoidFunction._wrap(
-        F2.diagram, F2.support_level, F2.table_level, product(F2.table, G2.table)
+    return GroupoidFunction._from_index(
+        F2.diagram, F2.support_level, F2.table_level, _exact.product(F2._row_index(), G2._row_index())
     )
 
 
 def diag(f):
     """A cylinder function as the diagonal kernel at its own table level."""
-    d = f.diagram
-    table = {(gid, gid): val for gid, val in enumerate(f.table) if val}
-    return GroupoidFunction(d, 0, f.level, table)
+    return GroupoidFunction._from_index(f.diagram, 0, f.level, _exact.diagonal(f._exact_form()))
 
 
 def jones_kernel(diagram, n):
@@ -210,7 +216,7 @@ def represent(x):
     pairs, so the map keeps the table as it is.  (The ``word_kernel`` form
     below keeps the defining product available for cross-checking.)
     """
-    return GroupoidFunction._wrap(x.diagram, x.level, x.level, x.table)
+    return GroupoidFunction._wrap(x.diagram, x.level, x.level, x._table, x._index)
 
 
 def word_kernel(diagram, gamma, delta):

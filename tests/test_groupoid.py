@@ -71,6 +71,19 @@ def test_widen_preserves_values(car):
                 assert wide.value(a, b) == jk.value(gamma, delta)
 
 
+def test_value_needs_paths_at_the_table_level(car):
+    jk = jones_kernel(car, 2)
+    p, q = car.paths(1)
+    # Level-1 ids would index the level-2 table and read 1/4 from it.
+    with pytest.raises(ValueError):
+        jk.value(p, q)
+    with pytest.raises(ValueError):
+        jk.value(car.paths(2)[0], q)
+    with pytest.raises(ValueError):
+        jk.value(car.paths(3)[0], car.paths(3)[1])
+    assert jk.value(car.paths(2)[0], car.paths(2)[3]) == Scalar(Fraction(1, 4))
+
+
 def test_widen_rejects_narrowing(car):
     jk = jones_kernel(car, 2)
     with pytest.raises(ValueError):
