@@ -173,7 +173,11 @@ class PairTable:
     """Holder of a sparse pair table as Scalars, as a row index, or both.
 
     Each is filled from the other on first use, so a chain of products
-    builds Scalars only for the results someone reads.
+    builds Scalars only for the results someone reads.  Building the
+    Scalars drops the index they came from: a result that is read is seldom
+    an operand again, and keeping both doubles the memory of long embed
+    chains.  An operand that is read and then multiplied again (a memoized
+    projection) rebuilds its index once and keeps both.
     """
 
     __slots__ = ("_table", "_index")
@@ -182,7 +186,7 @@ class PairTable:
     def table(self):
         """The nonzero entries ``{(path id, path id): Scalar}``."""
         if self._table is None:
-            self._table = pair_table(self._index)
+            self._table, self._index = pair_table(self._index), None
         return self._table
 
     def _row_index(self):
@@ -191,16 +195,7 @@ class PairTable:
         return self._index
 
     def is_zero(self):
-        return not (self._index[3] if self._table is None else self._table)
-
-    def _extended(self, offsets):
-        """``(table, index)`` copied onto extensions (see ``extend_pairs``).
-
-        The index is extended when held, else the table; the other is None.
-        """
-        if self._index is not None:
-            return None, extend_index(self._index, offsets)
-        return extend_pairs(self._table, offsets), None
+        return not self._row_index()[3]
 
 
 def pair_table(idx):
@@ -277,23 +272,14 @@ def product(a, b):
     return _indexed(den_a * den_b, out)
 
 
-def extend_pairs(table, offsets):
+def extend_index(idx, offsets):
     """Copy the entry at each pair (a, b) onto the pairs of t-th extensions.
 
     ``offsets`` is a ``BratteliDiagram.children``/``descendants`` map: the
     extensions of id a are ``range(offsets[a], offsets[a+1])``.  Both ids of
     a pair end at one vertex, so their t-th extensions follow the same
-    edges.
+    edges.  The copies of a row share its numerator lists.
     """
-    return {
-        pair: val
-        for (a, b), val in table.items()
-        for pair in zip(range(offsets[a], offsets[a + 1]), range(offsets[b], offsets[b + 1]))
-    }
-
-
-def extend_index(idx, offsets):
-    """The row index of ``extend_pairs`` of the table that ``idx`` stands for."""
     den, top, width, rows = idx
     out = {}
     for a, (cols, res, ims) in rows.items():

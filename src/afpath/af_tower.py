@@ -186,7 +186,7 @@ class AfElement(_exact.PairTable):
         n = self.level
         if n >= d.depth:
             raise ValueError("cannot embed past the truncation depth %d" % d.depth)
-        return AfElement._wrap(d, n + 1, *self._extended(d.children(n)))
+        return AfElement._from_index(d, n + 1, _exact.extend_index(self._row_index(), d.children(n)))
 
     def embed_to(self, m):
         """Iterate the inclusion up to stage m >= level."""

@@ -40,20 +40,15 @@ class CylinderFunction:
         self._form = None
 
     @classmethod
-    def _wrap(cls, diagram, level, table, form=None):
-        # Internal fast path: the table is already a tuple of Scalars of the
-        # right length (or None when the form is given), so skip the
-        # constructor's coercion pass.
+    def _from_form(cls, diagram, level, form):
+        # Internal fast path: the form has the right length, so skip the
+        # constructor's coercion pass; Scalars are built on first read.
         f = object.__new__(cls)
         f.diagram = diagram
         f.level = level
-        f._table = table
+        f._table = None
         f._form = form
         return f
-
-    @classmethod
-    def _from_form(cls, diagram, level, form):
-        return cls._wrap(diagram, level, None, form)
 
     @property
     def table(self):
@@ -82,15 +77,7 @@ class CylinderFunction:
             raise ValueError("cannot refine level %d down to %d" % (self.level, m))
         if m == self.level:
             return self
-        # Re-index whichever of the two tables is held, and build neither.
-        prefix = self.diagram.prefix_ids(m, self.level)
-        table, form = self._table, self._form
-        return CylinderFunction._wrap(
-            self.diagram,
-            m,
-            None if table is None else tuple(table[p] for p in prefix),
-            None if form is None else _exact.reindex(form, prefix),
-        )
+        return CylinderFunction._from_form(self.diagram, m, self._exact_form(m))
 
     def eval(self, path):
         """Value on any rooted path of length >= level (tails are immaterial)."""
@@ -151,9 +138,8 @@ class CylinderFunction:
     __hash__ = None
 
     def is_zero(self):
-        if self._form is not None:
-            return not any(self._form[1]) and not any(self._form[2])
-        return not any(self._table)
+        _, res, ims = self._exact_form()
+        return not any(res) and not any(ims)
 
     # -- analysis ---------------------------------------------------------------
 

@@ -115,8 +115,11 @@ class GroupoidFunction(_exact.PairTable):
             return self
         # An admissible pair ends at one vertex, so its t-th extensions
         # follow the same segment and stay admissible.
-        return GroupoidFunction._wrap(
-            d, support_level, table_level, *self._extended(d.descendants(self.table_level, table_level))
+        return GroupoidFunction._from_index(
+            d,
+            support_level,
+            table_level,
+            _exact.extend_index(self._row_index(), d.descendants(self.table_level, table_level)),
         )
 
     def _common(self, other):
@@ -202,7 +205,14 @@ def jones_kernel(diagram, n):
     d = diagram
     if not 0 <= n <= d.depth:
         raise ValueError("level %d out of range 0..%d" % (n, d.depth))
-    return d.memo(("jones_kernel", n), lambda: represent(jones_projection(d, n)))
+    def build():
+        # Index the memoized projection first, so that it and its image
+        # share one row index across all their products.
+        p = jones_projection(d, n)
+        p._row_index()
+        return represent(p)
+
+    return d.memo(("jones_kernel", n), build)
 
 
 def represent(x):
@@ -213,8 +223,9 @@ def represent(x):
     diagonal factors pick out the single kernel entry at (gamma, delta),
     whose value 1/#r(gamma) cancels the normalization, so the word is the
     point mass at that pair.  Both algebras key their tables by path-id
-    pairs, so the map keeps the table as it is.  (The ``word_kernel`` form
-    below keeps the defining product available for cross-checking.)
+    pairs, so the map keeps the table, and its row index if one is held, as
+    they are.  (The ``word_kernel`` form below keeps the defining product
+    available for cross-checking.)
     """
     return GroupoidFunction._wrap(x.diagram, x.level, x.level, x._table, x._index)
 

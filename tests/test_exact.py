@@ -1,5 +1,6 @@
 """Differential tests of the exact integer-form kernels against naive Scalar loops."""
 
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -13,6 +14,7 @@ from afpath import (
     builtin_diagram,
     class_sum,
     convolve,
+    diag,
     expect,
     random_cylinder,
 )
@@ -180,6 +182,19 @@ def test_product_reads_only_the_rows_of_b_that_a_reaches():
     got = pair_table(product(index(a), (den, top, width, rows)))
     assert rows.read == {3, 11, 20}
     assert_same_table(got, naive_product(a, b))
+
+
+def test_reading_a_result_table_drops_its_index():
+    # A product holds only its index until its table is read; then it holds
+    # only the table and rebuilds an equal index on demand.
+    d = builtin_diagram("car", 3)
+    f = random_cylinder(d, 2, random.Random(3))
+    x = convolve(diag(f), diag(f))
+    assert x._table is None
+    table = x.table
+    assert table and x._index is None
+    assert pair_table(x._row_index()) == table
+    assert x.table is table
 
 
 @given(aligned)

@@ -14,6 +14,7 @@ from afpath import (
     expect,
     indicator_path,
     jones_kernel,
+    jones_projection,
     matrix_unit,
     represent,
     unit_kernel,
@@ -245,6 +246,16 @@ def test_represent_intertwines_embedding(car, fibonacci):
                     for b in gids:
                         u = matrix_unit(d, paths[a], paths[b])
                         assert represent(u.embed()) == represent(u).widen(n + 1, n + 1)
+
+
+def test_jones_kernel_shares_the_projection_row_index(fibonacci):
+    # The memoized projection and its kernel image keep one row index
+    # between them, so neither builds its own copy.
+    for n in (1, 2):
+        p = jones_projection(fibonacci, n)
+        k = jones_kernel(fibonacci, n)
+        assert k._row_index() is p._row_index()
+        assert k.table is p.table
 
 
 # -- separating products ------------------------------------------------------------
