@@ -4,18 +4,19 @@ A table of Scalars has an exact form: Gaussian-integer numerators (Python
 ints) over one common denominator, Bareiss's integer-preserving idea
 (Math. Comp. 22, 1968).  A cylinder table's form is ``(den, res, ims)``,
 two lists aligned with the table; a pair table's form is a row *index*
-``(den, top, width, rows)`` with ``rows[i] = (cols, res, ims)`` in table
-order, where ``top`` bounds every numerator's size and ``width`` every
-row's length.  Conversions and arithmetic kernels return reduced forms (no
-integer > 1 divides the denominator and all numerators); a re-indexed or
-extended form may not be, which costs only size, since converting back
-reduces every Fraction.
+``(den, top, width, rows)`` with ``rows[i] = (cols, res, ims)``, where
+``top`` bounds every numerator's size and ``width`` every row's length.  A
+row index holds no zero cell and no empty row.  Conversions and arithmetic
+kernels return reduced forms (no integer > 1 divides the denominator and
+all numerators); a re-indexed or extended form may not be, which costs
+only size: ``equal`` and ``index_equal`` cross-multiply the denominators,
+and converting back reduces every Fraction.
 
-The kernels here take and return forms, add and multiply only ints, and
-``_scalars`` turns a result back into reduced Fractions once.  Each table
-owner carries its form with it (``PairTable``, ``CylinderFunction``), so
-chained operations never convert back.  Results equal the naive Scalar
-computation, so reports do not change.
+The form is the only state a table owner (``PairTable``,
+``CylinderFunction``) keeps.  The kernels here take and return forms, add,
+multiply and compare only ints; ``_scalars`` turns a form into reduced
+Fractions, and only the read accessors call it.  Results equal the naive
+Scalar computation, so reports do not change.
 """
 
 from fractions import Fraction
@@ -35,7 +36,8 @@ def form(values):
     )
 
 
-def _reduced(den, res, ims):
+def reduced(den, res, ims):
+    """The cylinder form over ``den``, with common factors divided out."""
     g = gcd(den, *res, *ims)
     if g == 1:
         return den, res, ims
@@ -52,6 +54,11 @@ def _scalars(den, res, ims):
     return [Scalar._of(part[re], part[im]) if re or im else ZERO for re, im in zip(res, ims)]
 
 
+def scalar(den, re, im):
+    """The one Scalar ``(re + im*i) / den``."""
+    return _scalars(den, (re,), (im,))[0]
+
+
 def scalar_table(f):
     """The tuple of Scalars that a cylinder form stands for."""
     return tuple(_scalars(*f))
@@ -66,6 +73,21 @@ def reindex(f, ids):
     return den, [res[p] for p in ids], [ims[p] for p in ids]
 
 
+def equal(f, g):
+    """Whether two aligned forms stand for the same table.
+
+    Reduced forms of one table are identical; others are compared by
+    cross-multiplying the denominators.
+    """
+    den_f, res_f, ims_f = f
+    den_g, res_g, ims_g = g
+    if den_f == den_g:
+        return res_f == res_g and ims_f == ims_g
+    return all(x * den_g == y * den_f for x, y in zip(res_f, res_g)) and all(
+        x * den_g == y * den_f for x, y in zip(ims_f, ims_g)
+    )
+
+
 def combine(f, g, sign=1):
     """The entrywise ``f + sign*g`` of two aligned forms, in one pass."""
     den_f, res_f, ims_f = f
@@ -73,7 +95,7 @@ def combine(f, g, sign=1):
     den = lcm(den_f, den_g)
     sf = den // den_f
     sg = sign * (den // den_g)
-    return _reduced(
+    return reduced(
         den,
         [x * sf + y * sg for x, y in zip(res_f, res_g)],
         [x * sf + y * sg for x, y in zip(ims_f, ims_g)],
@@ -85,8 +107,8 @@ def multiply(f, g):
     den_f, res_f, ims_f = f
     den_g, res_g, ims_g = g
     if not any(ims_f) and not any(ims_g):
-        return _reduced(den_f * den_g, [x * y for x, y in zip(res_f, res_g)], ims_f)
-    return _reduced(
+        return reduced(den_f * den_g, [x * y for x, y in zip(res_f, res_g)], ims_f)
+    return reduced(
         den_f * den_g,
         [a * c - b * d for a, b, c, d in zip(res_f, ims_f, res_g, ims_g)],
         [a * d + b * c for a, b, c, d in zip(res_f, ims_f, res_g, ims_g)],
@@ -104,7 +126,7 @@ def _times(c, res, ims):
 def scale(c, f):
     """The form ``c * f`` for a Scalar c."""
     (cd, (cr,), (ci,)), (den, res, ims) = form((c,)), f
-    return _reduced(cd * den, *_times((cr, ci), res, ims))
+    return reduced(cd * den, *_times((cr, ci), res, ims))
 
 
 def class_sums(f, classes, mean=False):
@@ -116,11 +138,11 @@ def class_sums(f, classes, mean=False):
     sums_re = [sum(map(res.__getitem__, cls)) for cls in classes]
     sums_im = [sum(map(ims.__getitem__, cls)) for cls in classes]
     if not mean:
-        return _reduced(den, sums_re, sums_im)
+        return reduced(den, sums_re, sums_im)
     # The mean of class c is sum_c / (den * size_c) = sum_c * (L / size_c) / (den * L).
     sizes = [len(cls) for cls in classes]
     big = lcm(*sizes)
-    return _reduced(
+    return reduced(
         den * big,
         [x * (big // s) for x, s in zip(sums_re, sizes)],
         [y * (big // s) for y, s in zip(sums_im, sizes)],
@@ -141,24 +163,24 @@ def index(table):
         row[0].append(j)
         row[1].append(re)
         row[2].append(im)
-    return _indexed(den, rows)
+    return indexed(den, rows)
 
 
 def diagonal(f):
     """The row index of the diagonal pair table ``{(g, g): f[g]}`` of a cylinder form."""
     den, res, ims = f
-    return _indexed(den, {g: ([g], [x], [y]) for g, (x, y) in enumerate(zip(res, ims)) if x or y})
+    return indexed(den, {g: ([g], [x], [y]) for g, (x, y) in enumerate(zip(res, ims)) if x or y})
 
 
-def _indexed(den, rows):
-    """Reduce a row map over ``den`` and add its size bounds."""
+def indexed(den, rows):
+    """The row index of a row map over ``den``: reduced, with its size bounds."""
     res, ims, width = [], [], 0
     for cols, row_res, row_ims in rows.values():
         res += row_res
         ims += row_ims
         width = max(width, len(cols))
     if not res:
-        return 1, 0, 0, rows
+        return EMPTY
     g = gcd(den, *res, *ims)
     if g != 1:
         den //= g
@@ -169,33 +191,45 @@ def _indexed(den, rows):
     return den, max(max(res), -min(res), max(ims), -min(ims)) // g, width, rows
 
 
-class PairTable:
-    """Holder of a sparse pair table as Scalars, as a row index, or both.
+EMPTY = (1, 0, 0, {})
 
-    Each is filled from the other on first use, so a chain of products
-    builds Scalars only for the results someone reads.  Building the
-    Scalars drops the index they came from: a result that is read is seldom
-    an operand again, and keeping both doubles the memory of long embed
-    chains.  An operand that is read and then multiplied again (a memoized
-    projection) rebuilds its index once and keeps both.
+
+class PairTable:
+    """Holder of a sparse pair table as its row index, its only state.
+
+    Kernels take and return row indexes, so a chain of products, sums and
+    comparisons never builds a Scalar.  ``table`` builds the Scalars each
+    time it is read and keeps none.
     """
 
-    __slots__ = ("_table", "_index")
+    __slots__ = ("_index",)
 
     @property
     def table(self):
         """The nonzero entries ``{(path id, path id): Scalar}``."""
-        if self._table is None:
-            self._table, self._index = pair_table(self._index), None
-        return self._table
+        return pair_table(self._index)
 
-    def _row_index(self):
-        if self._index is None:
-            self._index = index(self._table)
-        return self._index
+    def _at(self, a, b):
+        """The Scalar at the pair (a, b) of path ids, ZERO off the table."""
+        den, _, _, rows = self._index
+        row = rows.get(a)
+        if row is None or b not in row[0]:
+            return ZERO
+        k = row[0].index(b)
+        return scalar(den, row[1][k], row[2][k])
+
+    def keys(self):
+        """Iterate over the pairs of path ids of the nonzero entries."""
+        for i, (cols, _, _) in self._index[3].items():
+            for j in cols:
+                yield i, j
+
+    def nnz(self):
+        """The number of nonzero entries."""
+        return sum(len(cols) for cols, _, _ in self._index[3].values())
 
     def is_zero(self):
-        return not self._row_index()[3]
+        return not self._index[3]
 
 
 def pair_table(idx):
@@ -209,10 +243,77 @@ def pair_table(idx):
     return dict(zip(keys, _scalars(den, res, ims)))
 
 
+def index_equal(a, b):
+    """Whether two row indexes stand for the same table.
+
+    A row's columns may come in different orders (a product lists them as
+    they are reached); denominators are cross-multiplied as in ``equal``.
+    """
+    den_a, _, _, rows_a = a
+    den_b, _, _, rows_b = b
+    if rows_a.keys() != rows_b.keys():
+        return False
+    for i, (cols, res, ims) in rows_a.items():
+        cols_b, res_b, ims_b = rows_b[i]
+        if cols != cols_b:
+            if len(cols) != len(cols_b):
+                return False
+            at = dict(zip(cols_b, range(len(cols_b))))
+            if not all(j in at for j in cols):
+                return False
+            order = [at[j] for j in cols]
+            res_b = [res_b[k] for k in order]
+            ims_b = [ims_b[k] for k in order]
+        if not equal((den_a, res, ims), (den_b, res_b, ims_b)):
+            return False
+    return True
+
+
+def index_combine(a, b, sign=1):
+    """The row index of the entrywise ``a + sign*b``, zero cells dropped."""
+    den_a, _, _, rows_a = a
+    den_b, _, _, rows_b = b
+    den = lcm(den_a, den_b)
+    sa = den // den_a
+    sb = sign * (den // den_b)
+    out = {}
+    for i, (cols, res, ims) in rows_a.items():
+        row = rows_b.get(i)
+        if row is None:
+            out[i] = (cols, [x * sa for x in res], [y * sa for y in ims])
+            continue
+        cells = {j: (x * sa, y * sa) for j, x, y in zip(cols, res, ims)}
+        for j, x, y in zip(*row):
+            re, im = cells.get(j, (0, 0))
+            cells[j] = (re + x * sb, im + y * sb)
+        kept = [(j, re, im) for j, (re, im) in cells.items() if re or im]
+        if kept:
+            out[i] = tuple(map(list, zip(*kept)))
+    for i, (cols, res, ims) in rows_b.items():
+        if i not in rows_a:
+            out[i] = (cols, [x * sb for x in res], [y * sb for y in ims])
+    return indexed(den, out)
+
+
+def index_adjoint(idx):
+    """The row index of the conjugate transpose ``{(j, i): conj(value)}``."""
+    den, top, _, rows = idx
+    out = {}
+    for i, (cols, res, ims) in rows.items():
+        for j, x, y in zip(cols, res, ims):
+            row = out.get(j)
+            if row is None:
+                row = out[j] = ([], [], [])
+            row[0].append(i)
+            row[1].append(x)
+            row[2].append(-y)
+    return den, top, max((len(cols) for cols, _, _ in out.values()), default=0), out
+
+
 def scale_index(c, idx):
     """The row index of ``c * table`` for a nonzero Scalar c."""
     (cd, (cr,), (ci,)), (den, _, _, rows) = form((c,)), idx
-    return _indexed(
+    return indexed(
         cd * den, {i: (cols, *_times((cr, ci), res, ims)) for i, (cols, res, ims) in rows.items()}
     )
 
@@ -269,7 +370,7 @@ def product(a, b):
                 ims_out.append(c1)
         if cols:
             out[i] = (cols, res_out, ims_out)
-    return _indexed(den_a * den_b, out)
+    return indexed(den_a * den_b, out)
 
 
 def extend_index(idx, offsets):
@@ -287,24 +388,3 @@ def extend_index(idx, offsets):
         for t in range(offsets[a + 1] - start):
             out[start + t] = ([offsets[b] + t for b in cols], res, ims)
     return den, top, width, out
-
-
-def _merge(a, b, op):
-    out = dict(a)
-    for key, val in b.items():
-        s = op(out.get(key, ZERO), val)
-        if s:
-            out[key] = s
-        elif key in out:
-            del out[key]
-    return out
-
-
-def add(a, b):
-    """The entrywise sum of two sparse tables, zero cells dropped."""
-    return _merge(a, b, Scalar.__add__)
-
-
-def subtract(a, b):
-    """The entrywise difference of two sparse tables, zero cells dropped."""
-    return _merge(a, b, Scalar.__sub__)

@@ -14,11 +14,11 @@ sizes are those dictated by the diagram, and ``blocks`` gives the
 per-vertex view with positions inside each block.
 """
 
+import math
 from fractions import Fraction
 
 from . import _exact
-from ._exact import add, subtract
-from .scalars import Scalar, ZERO, ONE, as_scalar
+from .scalars import Scalar, ZERO, as_scalar
 from .cylinder import indicator_path
 
 _SCALAR_TYPES = (int, Fraction, Scalar)
@@ -27,7 +27,7 @@ _SCALAR_TYPES = (int, Fraction, Scalar)
 class AfElement(_exact.PairTable):
     """One element of the stage-n block-matrix algebra.
 
-    Products and scaling work on the table's exact row index (see
+    Every operation works on the table's exact row index (see
     ``_exact.PairTable``).
     """
 
@@ -50,33 +50,30 @@ class AfElement(_exact.PairTable):
                     table[(gids[i], gids[j])] = val
         self.diagram = diagram
         self.level = level
-        self._table = table
-        self._index = None
+        self._index = _exact.index(table)
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def _wrap(cls, diagram, level, table, index=None):
-        # Internal fast path: the table is already clean (nonzero Scalars at
-        # pairs of same-terminal path ids), so skip the validation pass.
+    def _from_index(cls, diagram, level, index):
+        # Internal fast path: the index holds only pairs of same-terminal
+        # path ids, so skip the validation pass.
         x = object.__new__(cls)
         x.diagram = diagram
         x.level = level
-        x._table = table
         x._index = index
         return x
 
     @classmethod
-    def _from_index(cls, diagram, level, index):
-        return cls._wrap(diagram, level, None, index)
-
-    @classmethod
     def zero(cls, diagram, level):
-        return cls(diagram, level, [{}] * len(diagram.block_paths(level)))
+        if not 0 <= level <= diagram.depth:
+            raise ValueError("level %d out of range 0..%d" % (level, diagram.depth))
+        return cls._from_index(diagram, level, _exact.EMPTY)
 
     @classmethod
     def identity(cls, diagram, level):
-        return cls._wrap(diagram, level, {(g, g): ONE for g in range(len(diagram.paths(level)))})
+        count = len(diagram.paths(level))
+        return cls._from_index(diagram, level, _exact.diagonal((1, [1] * count, [0] * count)))
 
     # -- block access ----------------------------------------------------------
 
@@ -98,7 +95,7 @@ class AfElement(_exact.PairTable):
         if len(gamma) != self.level or len(delta) != self.level:
             raise ValueError("entry needs two paths of length %d" % self.level)
         d = self.diagram
-        return self.table.get((d.path_id(gamma), d.path_id(delta)), ZERO)
+        return self._at(d.path_id(gamma), d.path_id(delta))
 
     def nonzero_entries(self):
         """Yield (vertex index, row path, col path, value) in canonical order."""
@@ -118,12 +115,15 @@ class AfElement(_exact.PairTable):
         return rows
 
     def trace_block(self, v):
+        den, _, _, rows = self._index
         pos = self.diagram.block_pos(self.level)
-        total = ZERO
-        for (a, b), val in self.table.items():
-            if a == b and pos[a][0] == v:
-                total = total + val
-        return total
+        total_re = total_im = 0
+        for a, (cols, res, ims) in rows.items():
+            if pos[a][0] == v and a in cols:
+                k = cols.index(a)
+                total_re += res[k]
+                total_im += ims[k]
+        return _exact.scalar(den, total_re, total_im)
 
     # -- *-algebra operations -----------------------------------------------------
 
@@ -137,11 +137,11 @@ class AfElement(_exact.PairTable):
 
     def __add__(self, other):
         self._require_compatible(other)
-        return AfElement._wrap(self.diagram, self.level, add(self.table, other.table))
+        return AfElement._from_index(self.diagram, self.level, _exact.index_combine(self._index, other._index))
 
     def __sub__(self, other):
         self._require_compatible(other)
-        return AfElement._wrap(self.diagram, self.level, subtract(self.table, other.table))
+        return AfElement._from_index(self.diagram, self.level, _exact.index_combine(self._index, other._index, -1))
 
     def __neg__(self):
         return (-1) * self
@@ -151,10 +151,10 @@ class AfElement(_exact.PairTable):
             c = as_scalar(other)
             if not c:
                 return AfElement.zero(self.diagram, self.level)
-            return AfElement._from_index(self.diagram, self.level, _exact.scale_index(c, self._row_index()))
+            return AfElement._from_index(self.diagram, self.level, _exact.scale_index(c, self._index))
         self._require_compatible(other)
         return AfElement._from_index(
-            self.diagram, self.level, _exact.product(self._row_index(), other._row_index())
+            self.diagram, self.level, _exact.product(self._index, other._index)
         )
 
     def __rmul__(self, other):
@@ -164,8 +164,7 @@ class AfElement(_exact.PairTable):
 
     def adjoint(self):
         """Conjugate transpose."""
-        table = {(b, a): val.conjugate() for (a, b), val in self.table.items()}
-        return AfElement._wrap(self.diagram, self.level, table)
+        return AfElement._from_index(self.diagram, self.level, _exact.index_adjoint(self._index))
 
     def __eq__(self, other):
         if not isinstance(other, AfElement):
@@ -173,7 +172,7 @@ class AfElement(_exact.PairTable):
         return (
             other.diagram is self.diagram
             and other.level == self.level
-            and other.table == self.table
+            and _exact.index_equal(other._index, self._index)
         )
 
     __hash__ = None
@@ -186,7 +185,7 @@ class AfElement(_exact.PairTable):
         n = self.level
         if n >= d.depth:
             raise ValueError("cannot embed past the truncation depth %d" % d.depth)
-        return AfElement._from_index(d, n + 1, _exact.extend_index(self._row_index(), d.children(n)))
+        return AfElement._from_index(d, n + 1, _exact.extend_index(self._index, d.children(n)))
 
     def embed_to(self, m):
         """Iterate the inclusion up to stage m >= level."""
@@ -201,7 +200,7 @@ class AfElement(_exact.PairTable):
         return "AfElement(level=%d, %d blocks, %d nonzero entries)" % (
             self.level,
             len(self.diagram.block_paths(self.level)),
-            len(self.table),
+            self.nnz(),
         )
 
 
@@ -214,7 +213,12 @@ def matrix_unit(diagram, gamma, delta):
             "paths end at different vertices %r and %r" % (gamma.terminal(), delta.terminal())
         )
     d = diagram
-    return AfElement._wrap(d, len(gamma), {(d.path_id(gamma), d.path_id(delta)): ONE})
+    return AfElement._from_index(d, len(gamma), _unit_index(d.path_id(gamma), d.path_id(delta)))
+
+
+def _unit_index(a, b):
+    """The row index of the table ``{(a, b): 1}``."""
+    return 1, 1, 1, {a: ([b], [1], [0])}
 
 
 def represent_cylinder(f):
@@ -235,11 +239,15 @@ def jones_projection(diagram, n, m=None):
         raise ValueError("need 0 <= n <= m <= depth, got n=%d m=%d" % (n, m))
 
     def build():
-        table = {}
-        for gids in d.block_paths(n):
-            val = as_scalar(Fraction(1, len(gids)))
-            table.update(((a, b), val) for a in gids for b in gids)
-        return AfElement._wrap(d, n, table).embed_to(m)
+        # Over the common denominator L, block v holds L / #v everywhere.
+        groups = d.block_paths(n)
+        den = math.lcm(*map(len, groups))
+        rows = {}
+        for gids in groups:
+            cols = list(gids)
+            row = (cols, [den // len(gids)] * len(gids), [0] * len(gids))
+            rows.update((a, row) for a in gids)
+        return AfElement._from_index(d, n, _exact.indexed(den, rows)).embed_to(m)
 
     return d.memo(("jones_projection", n, m), build)
 
@@ -313,7 +321,7 @@ def embed_multiplicities(diagram, n):
         raise ValueError("level %d has no embedding (depth %d)" % (n, d.depth))
     rows = []
     for gids in d.block_paths(n):
-        image = AfElement._wrap(d, n, {(gids[0], gids[0]): ONE}).embed()
+        image = AfElement._from_index(d, n, _unit_index(gids[0], gids[0])).embed()
         row = []
         for w in range(d.vertex_counts[n + 1]):
             t = image.trace_block(w)

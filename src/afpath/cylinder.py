@@ -18,53 +18,42 @@ _SCALAR_TYPES = (int, Fraction, Scalar)
 class CylinderFunction:
     """A level-m function table over the canonical path enumeration.
 
-    The table is held as Scalars, as its exact integer form (see
-    ``_exact``), or both: each is filled from the other on first use.
-    Arithmetic works on the form and leaves the Scalars to be built only
-    if someone reads ``table``.
+    The table's exact integer form (see ``_exact``) is the only state.
+    Arithmetic and equality work on the form; ``table`` and ``eval`` build
+    Scalars each time they are read and keep none.
     """
 
-    __slots__ = ("diagram", "level", "_table", "_form")
+    __slots__ = ("diagram", "level", "_form")
 
     def __init__(self, diagram, level, table):
         if not 0 <= level <= diagram.depth:
             raise ValueError("level %d out of range 0..%d" % (level, diagram.depth))
-        table = tuple(as_scalar(x) for x in table)
+        table = [as_scalar(x) for x in table]
         if len(table) != len(diagram.paths(level)):
             raise ValueError(
                 "table has %d entries, level %d has %d paths" % (len(table), level, len(diagram.paths(level)))
             )
         self.diagram = diagram
         self.level = level
-        self._table = table
-        self._form = None
+        self._form = _exact.form(table)
 
     @classmethod
     def _from_form(cls, diagram, level, form):
         # Internal fast path: the form has the right length, so skip the
-        # constructor's coercion pass; Scalars are built on first read.
+        # constructor's coercion pass.
         f = object.__new__(cls)
         f.diagram = diagram
         f.level = level
-        f._table = None
         f._form = form
         return f
 
     @property
     def table(self):
         """The values as a tuple of Scalars, in canonical path order."""
-        if self._table is None:
-            self._table = _exact.scalar_table(self._form)
-        return self._table
+        return _exact.scalar_table(self._form)
 
     def _exact_form(self, m=None):
-        """The exact form, re-indexed to level m >= level when given.
-
-        A missing form is converted at this level, where the table is
-        smallest, and kept.
-        """
-        if self._form is None:
-            self._form = _exact.form(self._table)
+        """The exact form, re-indexed to level m >= level when given."""
         if m is None or m == self.level:
             return self._form
         return _exact.reindex(self._form, self.diagram.prefix_ids(m, self.level))
@@ -83,7 +72,9 @@ class CylinderFunction:
         """Value on any rooted path of length >= level (tails are immaterial)."""
         if len(path) < self.level:
             raise ValueError("path of length %d cannot determine a level-%d value" % (len(path), self.level))
-        return self.table[self.diagram.path_id(path.prefix(self.level))]
+        den, res, ims = self._form
+        g = self.diagram.path_id(path.prefix(self.level))
+        return _exact.scalar(den, res[g], ims[g])
 
     def _combined(self, other, op):
         """``op`` on the two operands' forms at their common level."""
@@ -115,14 +106,14 @@ class CylinderFunction:
     def __mul__(self, other):
         if isinstance(other, _SCALAR_TYPES):
             return CylinderFunction._from_form(
-                self.diagram, self.level, _exact.scale(as_scalar(other), self._exact_form())
+                self.diagram, self.level, _exact.scale(as_scalar(other), self._form)
             )
         return self._combined(other, _exact.multiply)
 
     __rmul__ = __mul__
 
     def conjugate(self):
-        den, res, ims = self._exact_form()
+        den, res, ims = self._form
         return CylinderFunction._from_form(self.diagram, self.level, (den, res, [-y for y in ims]))
 
     def __eq__(self, other):
@@ -131,15 +122,20 @@ class CylinderFunction:
         if other.diagram is not self.diagram:
             return False
         m = max(self.level, other.level)
-        return self.refine(m).table == other.refine(m).table
+        return _exact.equal(self._exact_form(m), other._exact_form(m))
 
     # Equal functions may be tabulated at different levels, so no hash
     # of the table could agree with __eq__.
     __hash__ = None
 
     def is_zero(self):
-        _, res, ims = self._exact_form()
+        _, res, ims = self._form
         return not any(res) and not any(ims)
+
+    def nnz(self):
+        """The number of nonzero entries in the table."""
+        _, res, ims = self._form
+        return sum(1 for x, y in zip(res, ims) if x or y)
 
     # -- analysis ---------------------------------------------------------------
 
@@ -163,11 +159,11 @@ class CylinderFunction:
 
     def sup_norm_sq(self):
         """Largest squared modulus over the table (a Fraction)."""
-        den, res, ims = self._exact_form()
+        den, res, ims = self._form
         return Fraction(max((x * x + y * y for x, y in zip(res, ims)), default=0), den * den)
 
     def __repr__(self):
-        return "CylinderFunction(level=%d, %d entries)" % (self.level, len(self.diagram.paths(self.level)))
+        return "CylinderFunction(level=%d, %d entries, %d nonzero)" % (self.level, len(self._form[1]), self.nnz())
 
 
 # -- constructors ---------------------------------------------------------------

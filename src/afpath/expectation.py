@@ -11,7 +11,6 @@ from fractions import Fraction
 
 from ._exact import class_sums, reindex
 from .cylinder import CylinderFunction, indicator_vertex
-from .scalars import ZERO
 
 
 def class_sum(f, n):
@@ -76,19 +75,18 @@ def prefix_sum_check(f, n, m):
         raise ValueError("need 0 <= n <= m <= depth, got n=%d m=%d" % (n, m))
     if f.level > m:
         raise ValueError("f has level %d, cannot evaluate on length-%d paths" % (f.level, m))
-    ef = expect(f, n)
+    # Both sides are read at level m, each over its own denominator.
+    den_f, res_f, ims_f = f._exact_form(m)
+    den_e, res_e, ims_e = expect(f, n)._exact_form(m)
     paths_n = d.paths(n)
     blocks = d.block_paths(n)
     for v in d.vertices(n):
         xs = [paths_n[gid] for gid in blocks[v.index]]
         for w in d.vertices(m):
             for y in d.segments(v, w):
-                lhs = ZERO
-                rhs = ZERO
-                for x in xs:
-                    full = x.followed_by(y)
-                    lhs = lhs + f.eval(full)
-                    rhs = rhs + ef.eval(full)
-                if lhs != rhs:
+                ids = [d.path_id(x.followed_by(y)) for x in xs]
+                lhs = (sum(res_f[g] for g in ids), sum(ims_f[g] for g in ids))
+                rhs = (sum(res_e[g] for g in ids), sum(ims_e[g] for g in ids))
+                if lhs[0] * den_e != rhs[0] * den_f or lhs[1] * den_e != rhs[1] * den_f:
                     return False
     return True

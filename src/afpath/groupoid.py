@@ -12,8 +12,7 @@ changing the function it represents.
 from fractions import Fraction
 
 from . import _exact
-from ._exact import add, subtract
-from .scalars import Scalar, ZERO, as_scalar
+from .scalars import Scalar, as_scalar
 from .af_tower import jones_projection
 from .cylinder import constant, indicator_path
 
@@ -23,7 +22,7 @@ _SCALAR_TYPES = (int, Fraction, Scalar)
 class GroupoidFunction(_exact.PairTable):
     """A finitely supported kernel on level-n tail pairs, tabulated at level m.
 
-    Convolution and scaling work on the table's exact row index (see
+    Every operation works on the table's exact row index (see
     ``_exact.PairTable``).
     """
 
@@ -51,26 +50,20 @@ class GroupoidFunction(_exact.PairTable):
         self.diagram = d
         self.support_level = support_level
         self.table_level = table_level
-        self._table = clean
-        self._index = None
+        self._index = _exact.index(clean)
 
     # -- structure ---------------------------------------------------------------
 
     @classmethod
-    def _wrap(cls, diagram, support_level, table_level, table, index=None):
-        # Internal fast path: the table is already clean (admissible pairs,
-        # nonzero Scalar values), so skip the constructor's validation pass.
+    def _from_index(cls, diagram, support_level, table_level, index):
+        # Internal fast path: the index holds only admissible pairs, so skip
+        # the constructor's validation pass.
         x = object.__new__(cls)
         x.diagram = diagram
         x.support_level = support_level
         x.table_level = table_level
-        x._table = table
         x._index = index
         return x
-
-    @classmethod
-    def _from_index(cls, diagram, support_level, table_level, index):
-        return cls._wrap(diagram, support_level, table_level, None, index)
 
     @classmethod
     def zero(cls, diagram, support_level=0, table_level=None):
@@ -81,15 +74,16 @@ class GroupoidFunction(_exact.PairTable):
     def entries(self):
         """Yield (row path, col path, value) sorted by the canonical pair order."""
         paths = self.diagram.paths(self.table_level)
-        for (a, b) in sorted(self.table):
-            yield paths[a], paths[b], self.table[(a, b)]
+        table = self.table
+        for (a, b) in sorted(table):
+            yield paths[a], paths[b], table[(a, b)]
 
     def value(self, alpha, beta):
         """The tabulated value at a pair of length-``table_level`` paths."""
         if len(alpha) != self.table_level or len(beta) != self.table_level:
             raise ValueError("value needs two paths of length %d" % self.table_level)
         d = self.diagram
-        return self.table.get((d.path_id(alpha), d.path_id(beta)), ZERO)
+        return self._at(d.path_id(alpha), d.path_id(beta))
 
     def widen(self, support_level, table_level):
         """Re-tabulate with a coarser support and/or finer table level.
@@ -119,7 +113,7 @@ class GroupoidFunction(_exact.PairTable):
             d,
             support_level,
             table_level,
-            _exact.extend_index(self._row_index(), d.descendants(self.table_level, table_level)),
+            _exact.extend_index(self._index, d.descendants(self.table_level, table_level)),
         )
 
     def _common(self, other):
@@ -135,14 +129,14 @@ class GroupoidFunction(_exact.PairTable):
 
     def __add__(self, other):
         f, g = self._common(other)
-        return GroupoidFunction._wrap(
-            f.diagram, f.support_level, f.table_level, add(f.table, g.table)
+        return GroupoidFunction._from_index(
+            f.diagram, f.support_level, f.table_level, _exact.index_combine(f._index, g._index)
         )
 
     def __sub__(self, other):
         f, g = self._common(other)
-        return GroupoidFunction._wrap(
-            f.diagram, f.support_level, f.table_level, subtract(f.table, g.table)
+        return GroupoidFunction._from_index(
+            f.diagram, f.support_level, f.table_level, _exact.index_combine(f._index, g._index, -1)
         )
 
     def __neg__(self):
@@ -154,7 +148,7 @@ class GroupoidFunction(_exact.PairTable):
             if not c:
                 return GroupoidFunction.zero(self.diagram, self.support_level, self.table_level)
             return GroupoidFunction._from_index(
-                self.diagram, self.support_level, self.table_level, _exact.scale_index(c, self._row_index())
+                self.diagram, self.support_level, self.table_level, _exact.scale_index(c, self._index)
             )
         raise TypeError("use convolve (or @) for kernel products, * for scalars")
 
@@ -165,8 +159,9 @@ class GroupoidFunction(_exact.PairTable):
 
     def adjoint(self):
         """The involution: swap the pair and conjugate the value."""
-        out = {(b, a): val.conjugate() for (a, b), val in self.table.items()}
-        return GroupoidFunction._wrap(self.diagram, self.support_level, self.table_level, out)
+        return GroupoidFunction._from_index(
+            self.diagram, self.support_level, self.table_level, _exact.index_adjoint(self._index)
+        )
 
     def __eq__(self, other):
         if not isinstance(other, GroupoidFunction):
@@ -174,7 +169,7 @@ class GroupoidFunction(_exact.PairTable):
         if other.diagram is not self.diagram:
             return False
         f, g = self._common(other)
-        return f.table == g.table
+        return _exact.index_equal(f._index, g._index)
 
     __hash__ = None
 
@@ -182,7 +177,7 @@ class GroupoidFunction(_exact.PairTable):
         return "GroupoidFunction(support=%d, table=%d, %d entries)" % (
             self.support_level,
             self.table_level,
-            len(self.table),
+            self.nnz(),
         )
 
 
@@ -190,7 +185,7 @@ def convolve(F, G):
     """Kernel product: (F * G)(a, b) = sum over middle paths c of F(a,c) G(c,b)."""
     F2, G2 = F._common(G)
     return GroupoidFunction._from_index(
-        F2.diagram, F2.support_level, F2.table_level, _exact.product(F2._row_index(), G2._row_index())
+        F2.diagram, F2.support_level, F2.table_level, _exact.product(F2._index, G2._index)
     )
 
 
@@ -205,14 +200,8 @@ def jones_kernel(diagram, n):
     d = diagram
     if not 0 <= n <= d.depth:
         raise ValueError("level %d out of range 0..%d" % (n, d.depth))
-    def build():
-        # Index the memoized projection first, so that it and its image
-        # share one row index across all their products.
-        p = jones_projection(d, n)
-        p._row_index()
-        return represent(p)
-
-    return d.memo(("jones_kernel", n), build)
+    # The memoized projection and its image share one row index.
+    return d.memo(("jones_kernel", n), lambda: represent(jones_projection(d, n)))
 
 
 def represent(x):
@@ -223,11 +212,10 @@ def represent(x):
     diagonal factors pick out the single kernel entry at (gamma, delta),
     whose value 1/#r(gamma) cancels the normalization, so the word is the
     point mass at that pair.  Both algebras key their tables by path-id
-    pairs, so the map keeps the table, and its row index if one is held, as
-    they are.  (The ``word_kernel`` form below keeps the defining product
+    pairs, so the map keeps the row index as it is.  (The ``word_kernel`` form below keeps the defining product
     available for cross-checking.)
     """
-    return GroupoidFunction._wrap(x.diagram, x.level, x.level, x._table, x._index)
+    return GroupoidFunction._from_index(x.diagram, x.level, x.level, x._index)
 
 
 def word_kernel(diagram, gamma, delta):

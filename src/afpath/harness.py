@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalars import Scalar
+from . import _exact
 from .diagram import (
     BratteliDiagram,
     Edge,
@@ -67,7 +67,8 @@ RNG_NAME = "mt19937-strseed"
 MAX_ENTRIES_VAR = "AF_TAIL_MAX_ENTRIES"
 DEFAULT_MAX_ENTRIES = 100000
 
-_DENOMINATORS = (1, 2, 3, 4)
+# 12/d for the entry denominators d = 1, 2, 3, 4, in that order.
+_FACTORS = (12, 6, 4, 3)
 
 
 @dataclass(frozen=True)
@@ -189,37 +190,49 @@ def estimate_max_table(d):
 # -- seeded random elements ------------------------------------------------------
 
 
-def _random_scalar(rng):
-    re = Fraction(rng.randint(-9, 9), rng.choice(_DENOMINATORS))
-    im = Fraction(rng.randint(-9, 9), rng.choice(_DENOMINATORS))
-    return Scalar(re, im)
+def _random_numerators(rng, count):
+    """The numerator lists of ``count`` entries over the common denominator 12.
+
+    Each entry has a numerator in [-9, 9] over a denominator in {1, 2, 3,
+    4}, for each part in turn; choosing the factor 12/d in the place of d
+    makes the same draw.
+    """
+    randint, choice = rng.randint, rng.choice
+    res, ims = [], []
+    for _ in range(count):
+        res.append(randint(-9, 9) * choice(_FACTORS))
+        ims.append(randint(-9, 9) * choice(_FACTORS))
+    return res, ims
 
 
 def random_cylinder(diagram, level, rng):
     """A level-m function with Gaussian-rational entries: numerators in
     [-9, 9], denominators in {1, 2, 3, 4}, drawn in canonical path order."""
-    table = [_random_scalar(rng) for _ in diagram.paths(level)]
-    return CylinderFunction(diagram, level, table)
+    res, ims = _random_numerators(rng, len(diagram.paths(level)))
+    return CylinderFunction._from_form(diagram, level, _exact.reduced(12, res, ims))
+
+
+def _random_rows(rng, groups):
+    """A row index with random entries on every pair of each group, row by row."""
+    rows = {}
+    for gids in groups:
+        for a in gids:
+            res, ims = _random_numerators(rng, len(gids))
+            kept = [(b, x, y) for b, x, y in zip(gids, res, ims) if x or y]
+            if kept:
+                rows[a] = tuple(map(list, zip(*kept)))
+    return _exact.indexed(12, rows)
 
 
 def random_af_element(diagram, level, rng):
     """A stage-n element with fully random blocks (same entry distribution)."""
-    blocks = []
-    for gids in diagram.block_paths(level):
-        size = len(gids)
-        blocks.append({(i, j): _random_scalar(rng) for i in range(size) for j in range(size)})
-    return AfElement(diagram, level, blocks)
+    return AfElement._from_index(diagram, level, _random_rows(rng, diagram.block_paths(level)))
 
 
 def random_groupoid_function(diagram, support_level, table_level, rng):
     """A kernel with random values on every admissible pair, in class order."""
     classes, _ = diagram.tail_classes(table_level, support_level)
-    table = {}
-    for cls in classes:
-        for a in cls:
-            for b in cls:
-                table[(a, b)] = _random_scalar(rng)
-    return GroupoidFunction(diagram, support_level, table_level, table)
+    return GroupoidFunction._from_index(diagram, support_level, table_level, _random_rows(rng, classes))
 
 
 # -- individual suites -------------------------------------------------------------
@@ -319,8 +332,8 @@ def _suite_cylinder(ctx, chk, rng):
         chk.ok(total == one, "partition-of-unity;level=%d" % n)
         f = random_cylinder(d, n, rng)
         rebuilt = None
-        for gid, p in enumerate(d.paths(n)):
-            term = f.table[gid] * indicator_path(d, p)
+        for val, p in zip(f.table, d.paths(n)):
+            term = val * indicator_path(d, p)
             rebuilt = term if rebuilt is None else rebuilt + term
         chk.ok(rebuilt == f, "indicator-expansion;level=%d" % n)
         for v in d.vertices(n):
@@ -362,10 +375,10 @@ def _suite_expectation(ctx, chk, rng):
     one = constant(d, 1)
     for n in range(n_max + 1):
         chk.ok(expect(one, n) == one, "unital;n=%d" % n)
-        cs = class_sum(one, n)
-        for gid, p in enumerate(d.paths(cs.level)):
+        sizes = class_sum(one, n).table
+        for gid, p in enumerate(d.paths(n)):
             chk.ok(
-                cs.table[gid] == d.path_count(p.vertex_at(n)),
+                sizes[gid] == d.path_count(p.vertex_at(n)),
                 lambda p=p, n=n: "class-size;n=%d;path=%s" % (n, format_path(p)),
             )
     for n in range(min(4, d.depth) + 1):
@@ -402,12 +415,8 @@ def _suite_expectation(ctx, chk, rng):
                 g = expect(g0, n)
                 h = expect(h0, n)
                 chk.ok(expect(g * f * h, n) == g * ef * h, "module;" + tag)
-                pos = f * f.conjugate()
-                epos = expect(pos, n)
-                chk.ok(
-                    all(x.im == 0 and x.re >= 0 for x in epos.table),
-                    "positive;" + tag,
-                )
+                _, res, ims = expect(f * f.conjugate(), n)._exact_form()
+                chk.ok(not any(ims) and min(res) >= 0, "positive;" + tag)
                 for n2 in range(n, n_max + 1):
                     e2 = expect(f, n2)
                     chk.ok(expect(e2, n) == e2, "tower-fix;%s;n2=%d" % (tag, n2))
@@ -541,7 +550,7 @@ def _suite_tower(ctx, chk, rng):
         )
         for n in range(m + 1):
             e_n = jones_projection(d, n, m)
-            pcost = len(e_n.table) * max(d.path_count(v) for v in d.vertices(n))
+            pcost = e_n.nnz() * max(d.path_count(v) for v in d.vertices(n))
             if pcost <= 250000:
                 chk.ok(e_n * e_n == e_n, "projection-idempotent;n=%d;m=%d" % (n, m))
             chk.ok(e_n.adjoint() == e_n, "projection-selfadjoint;n=%d;m=%d" % (n, m))
@@ -554,7 +563,7 @@ def _suite_tower(ctx, chk, rng):
             e_n = jones_projection(d, n, m)
             # one sandwich costs about nnz(e_n) x class size multiplications;
             # scale the sample count down as that grows
-            cost = len(e_n.table) * max(d.path_count(v) for v in d.vertices(n))
+            cost = e_n.nnz() * max(d.path_count(v) for v in d.vertices(n))
             if cost <= 10000:
                 count = ctx.samples
             elif cost <= 200000:
@@ -618,7 +627,7 @@ def _suite_groupoid(ctx, chk, rng):
             chk.ok(P2 == P1.widen(m, m), "support-bound;" + tag)
             _, class_of = d.tail_classes(P2.table_level, n)
             chk.ok(
-                all(class_of[a] == class_of[b] for a, b in P2.table),
+                all(class_of[a] == class_of[b] for a, b in P2.keys()),
                 "support-admissible;" + tag,
             )
     for n in range(n_max + 1):

@@ -18,20 +18,25 @@ from afpath import (
     expect,
     random_cylinder,
 )
+from afpath import _exact
 from afpath._exact import (
-    add,
+    EMPTY,
     class_sums,
     combine,
+    equal,
     form,
     index,
+    index_adjoint,
+    index_combine,
+    index_equal,
     multiply,
     pair_table,
     product,
     reindex,
     scalar_table,
     scale,
-    subtract,
 )
+from afpath.harness import random_af_element, random_groupoid_function
 
 # Parts drawn from a small set with mixed denominators, so that purely real,
 # purely imaginary and cancelling entries all come up often.
@@ -91,6 +96,36 @@ def assert_reduced_form(f):
     den, res, ims = f
     assert isinstance(den, int) and den >= 1
     assert gcd(den, *res, *ims) == 1
+
+
+def assert_reduced_index(idx):
+    den, top, width, rows = idx
+    res = [x for _, row_res, _ in rows.values() for x in row_res]
+    ims = [y for _, _, row_ims in rows.values() for y in row_ims]
+    assert_reduced_form((den, res, ims))
+    assert top == max(map(abs, res + ims), default=0)
+    assert width == max((len(cols) for cols, _, _ in rows.values()), default=0)
+    assert all(cols and len(set(cols)) == len(cols) for cols, _, _ in rows.values())
+    assert all(x or y for x, y in zip(res, ims))
+
+
+def unreduced(f, k):
+    """The cylinder form f over k times its denominator."""
+    den, res, ims = f
+    return den * k, [x * k for x in res], [y * k for y in ims]
+
+
+def unreduced_index(idx, k, rng=None):
+    """The row index over k times its denominator, each row's columns
+    shuffled when an rng is given."""
+    den, top, width, rows = idx
+    out = {}
+    for i, (cols, res, ims) in rows.items():
+        cells = list(zip(cols, res, ims))
+        if rng is not None:
+            rng.shuffle(cells)
+        out[i] = ([j for j, _, _ in cells], [x * k for _, x, _ in cells], [y * k for _, _, y in cells])
+    return den * k, top * k, width, out
 
 
 @given(tables, tables)
@@ -184,17 +219,21 @@ def test_product_reads_only_the_rows_of_b_that_a_reaches():
     assert_same_table(got, naive_product(a, b))
 
 
-def test_reading_a_result_table_drops_its_index():
-    # A product holds only its index until its table is read; then it holds
-    # only the table and rebuilds an equal index on demand.
+def test_reading_a_table_leaves_its_form_in_place():
+    # A table is built from the form each time it is read; the form stays
+    # the only state, and no Scalar table is kept.
     d = builtin_diagram("car", 3)
     f = random_cylinder(d, 2, random.Random(3))
     x = convolve(diag(f), diag(f))
-    assert x._table is None
+    idx = x._index
     table = x.table
-    assert table and x._index is None
-    assert pair_table(x._row_index()) == table
-    assert x.table is table
+    assert table and x._index is idx
+    assert pair_table(idx) == table
+    assert x.table == table and x.table is not table
+    held = f._form
+    assert f.table == f.table and f._form is held
+    for obj in (f, x):
+        assert not hasattr(obj, "_table")
 
 
 @given(aligned)
@@ -243,14 +282,103 @@ def test_class_sums_match_naive(pair, rng):
     assert_same_values(scalar_table(got), means)
 
 
-@given(tables, tables)
-def test_add_and_subtract_match_naive(a, b):
+@given(tables, tables, st.integers(1, 4))
+def test_add_and_subtract_match_naive(a, b, k):
     keys = set(a) | set(b)
     want_sum = {k: a.get(k, ZERO) + b.get(k, ZERO) for k in keys}
     want_diff = {k: a.get(k, ZERO) - b.get(k, ZERO) for k in keys}
-    assert_same_table(add(a, b), {k: v for k, v in want_sum.items() if v})
-    assert_same_table(subtract(a, b), {k: v for k, v in want_diff.items() if v})
-    assert subtract(a, a) == {}
+    # The right operand is left unreduced, over another denominator.
+    ia, ib = index(a), unreduced_index(index(b), k)
+    sums, diffs = index_combine(ia, ib), index_combine(ia, ib, -1)
+    for got in (sums, diffs):
+        assert_reduced_index(got)
+    assert_same_table(pair_table(sums), {k: v for k, v in want_sum.items() if v})
+    assert_same_table(pair_table(diffs), {k: v for k, v in want_diff.items() if v})
+    assert index_combine(ia, unreduced_index(ia, k), -1) == EMPTY
+
+
+@given(aligned, st.integers(1, 6), st.integers(1, 6))
+def test_equal_matches_naive(pair, k, l):
+    f, g = pair
+    ff, fg = form(f), form(g)
+    for x, y in ((ff, ff), (ff, fg), (fg, ff)):
+        want = scalar_table(x) == scalar_table(y)
+        assert equal(x, y) is want
+        assert equal(unreduced(x, k), unreduced(y, l)) is want
+        assert equal(x, unreduced(y, l)) is want
+
+
+@given(tables, tables, st.integers(1, 6), st.randoms(use_true_random=False))
+def test_index_equal_matches_naive(a, b, k, rng):
+    ia, ib = index(a), index(b)
+    assert index_equal(ia, ib) is (a == b)
+    assert index_equal(ia, unreduced_index(ib, k, rng)) is (a == b)
+    assert index_equal(unreduced_index(ib, k, rng), ia) is (a == b)
+    assert index_equal(ia, unreduced_index(ia, k, rng))
+
+
+@given(tables, tables)
+def test_index_equal_on_permuted_product_columns(a, b):
+    # A product lists each row's columns as it reaches them; the index of
+    # the naive table lists them in key order.
+    got, want = product(index(a), index(b)), naive_product(a, b)
+    assert index_equal(got, index(want))
+    assert index_equal(index(want), got)
+    for key in want:
+        changed = dict(want)
+        changed[key] = want[key] + 1 or Scalar(2)
+        assert not index_equal(got, index(changed))
+        del changed[key]
+        assert not index_equal(got, index(changed))
+        assert not index_equal(index(changed), got)
+
+
+def test_index_equal_on_disjoint_rows_and_empty_tables():
+    one = Scalar(1)
+    a = {(0, 0): one, (1, 1): one}
+    b = {(2, 2): one, (3, 3): one}
+    assert not index_equal(index(a), index(b))
+    assert not index_equal(index(a), index({**a, (2, 0): one}))
+    assert index_equal(index({}), EMPTY)
+    assert not index_equal(index(a), EMPTY)
+    assert not index_equal(EMPTY, index(a))
+
+
+@given(tables, st.integers(1, 4))
+def test_index_adjoint_matches_naive(a, k):
+    want = {(j, i): val.conjugate() for (i, j), val in a.items()}
+    got = index_adjoint(index(a))
+    assert_reduced_index(got)
+    assert_same_table(pair_table(got), want)
+    assert_same_table(pair_table(index_adjoint(unreduced_index(index(a), k))), want)
+    assert index_equal(index_adjoint(got), index(a))
+
+
+def test_operations_on_forms_build_no_scalars(monkeypatch):
+    d = builtin_diagram("fibonacci", 4)
+    rng = random.Random(5)
+    f, g = random_cylinder(d, 2, rng), random_cylinder(d, 3, rng)
+    x, y = random_af_element(d, 2, rng), random_af_element(d, 2, rng)
+    F, G = random_groupoid_function(d, 1, 2, rng), random_groupoid_function(d, 2, 3, rng)
+
+    def refuse(*args):
+        raise AssertionError("a Scalar table was built")
+
+    monkeypatch.setattr(_exact, "_scalars", refuse)
+    assert f + g == g + f
+    assert f - g == -(g - f)
+    assert f * g == g * f and 2 * f == f + f
+    assert f.refine(4) == f and f.refine(4) != g
+    assert x + y == y + x and x - y == -(y - x)
+    assert (x * y).adjoint() == y.adjoint() * x.adjoint()
+    assert (x * y).embed() == x.embed() * y.embed()
+    assert (x.embed() == x) is False
+    assert F.widen(2, 3) == F
+    assert convolve(F, G).adjoint() == convolve(G.adjoint(), F.adjoint())
+    assert F + G == G + F and (F - F).is_zero()
+    assert set(F.keys()) == set(F.widen(1, 2).keys())
+    for obj in (f, x, F):
+        repr(obj)
 
 
 @settings(max_examples=30, deadline=None)

@@ -2,10 +2,20 @@
 vertices per level, checked against explicit FinitePath oracles."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
-from afpath import AfElement, BratteliDiagram, Scalar, represent
+from afpath import (
+    BUILTIN_NAMES,
+    AfElement,
+    BratteliDiagram,
+    CylinderFunction,
+    GroupoidFunction,
+    Scalar,
+    builtin_diagram,
+    represent,
+)
 from afpath.harness import random_af_element, random_cylinder, random_groupoid_function
 
 # Vertices 1,3,3,3,3 with multiplicities 0-2 and uneven fan-in: 4, 9, 21
@@ -151,3 +161,56 @@ def test_block_view_round_trips_the_pair_table():
             if n < d.depth:
                 assert (x == x.embed()) is False
                 assert (AfElement.zero(d, n) == AfElement.zero(d, n + 1)) is False
+
+
+# -- seeded random elements -------------------------------------------------------
+
+
+def _oracle_scalar(rng):
+    # The harness's draw of one entry, as it was written over Fractions.
+    re = Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 4)))
+    im = Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 4)))
+    return Scalar(re, im)
+
+
+def _oracle_elements(d, rng):
+    out = []
+    for n in range(d.depth + 1):
+        out.append(CylinderFunction(d, n, [_oracle_scalar(rng) for _ in d.paths(n)]))
+        blocks = [
+            {(i, j): _oracle_scalar(rng) for i in range(len(gids)) for j in range(len(gids))}
+            for gids in d.block_paths(n)
+        ]
+        out.append(AfElement(d, n, blocks))
+        for k in range(n + 1):
+            classes, _ = d.tail_classes(n, k)
+            table = {(a, b): _oracle_scalar(rng) for cls in classes for a in cls for b in cls}
+            out.append(GroupoidFunction(d, k, n, table))
+    return out
+
+
+def _harness_elements(d, rng):
+    out = []
+    for n in range(d.depth + 1):
+        out.append(random_cylinder(d, n, rng))
+        out.append(random_af_element(d, n, rng))
+        out.extend(random_groupoid_function(d, k, n, rng) for k in range(n + 1))
+    return out
+
+
+def _report(x):
+    if isinstance(x, CylinderFunction):
+        return [val.to_report() for val in x.table]
+    return {key: val.to_report() for key, val in x.table.items()}
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES + ("mixed",))
+def test_random_elements_make_the_draws_of_the_scalar_oracle(name):
+    d = MIXED if name == "mixed" else builtin_diagram(name, 3)
+    got_rng, want_rng = random.Random("draws:" + name), random.Random("draws:" + name)
+    got, want = _harness_elements(d, got_rng), _oracle_elements(d, want_rng)
+    assert got_rng.getstate() == want_rng.getstate()
+    for x, y in zip(got, want):
+        assert type(x) is type(y)
+        assert _report(x) == _report(y)
+        assert x == y and x.nnz() == y.nnz()

@@ -254,8 +254,8 @@ def test_jones_kernel_shares_the_projection_row_index(fibonacci):
     for n in (1, 2):
         p = jones_projection(fibonacci, n)
         k = jones_kernel(fibonacci, n)
-        assert k._row_index() is p._row_index()
-        assert k.table is p.table
+        assert k._index is p._index
+        assert k.table == p.table
 
 
 # -- separating products ------------------------------------------------------------
