@@ -212,8 +212,8 @@ def represent(x):
     diagonal factors pick out the single kernel entry at (gamma, delta),
     whose value 1/#r(gamma) cancels the normalization, so the word is the
     point mass at that pair.  Both algebras key their tables by path-id
-    pairs, so the map keeps the row index as it is.  (The ``word_kernel`` form below keeps the defining product
-    available for cross-checking.)
+    pairs, so the map keeps the row index as it is.  (The ``word_kernel``
+    form below keeps the defining product available for cross-checking.)
     """
     return GroupoidFunction._from_index(x.diagram, x.level, x.level, x._index)
 

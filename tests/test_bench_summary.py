@@ -43,12 +43,16 @@ def test_summary_groups_runs_by_commit_and_counts_pair_wins(tmp_path):
     sparse = summary["verify-sparse"]
     assert sparse["runs"] == {"parent": 3, "change": 3}
     assert sparse["paired_seeds"] == [1, 2]
-    assert sparse["metrics"]["pass_s"] == {"parent": 3.2, "change": 2.0, "pairs": 2, "change_wins": 1}
+    assert sparse["metrics"]["pass_s"] == {
+        "parent": 3.2, "change": 2.0, "parent_iqr": 3.4 - 3.0, "pairs": 2, "change_wins": 1,
+    }
     assert sparse["metrics"]["setup_s"]["change_wins"] == 1
     assert sparse["metrics"]["peak_rss_mb"]["change_wins"] == 0
     cold = summary["deep-cold"]
     assert cold["runs"] == {"parent": 0, "change": 1}
-    assert cold["metrics"]["pass_s"] == {"parent": None, "change": 1.5, "pairs": 0, "change_wins": 0}
+    assert cold["metrics"]["pass_s"] == {
+        "parent": None, "change": 1.5, "parent_iqr": None, "pairs": 0, "change_wins": 0,
+    }
 
 
 def test_report_digest_is_the_sha256_of_the_verify_report(capsys):

@@ -7,8 +7,9 @@ Each result file named on the command line is one ``afbench/run.py --trace 0``
 run; files are grouped by their ``git_sha``, and files of other commits or of
 traced runs are ignored.  For each workload the output gives the median of
 ``pass_s``, ``setup_s`` and ``peak_rss_mb`` over the parent's and the
-change's runs, and, over the seeds both commits ran, how many pairs the
-change won (all three metrics are better when lower).
+change's runs, the distance between the quartiles of the parent's runs, and,
+over the seeds both commits ran, how many pairs the change won (all three
+metrics are better when lower).
 
 It also records the sha256 of the ``afpath verify <built-in>`` report at
 default settings, run from ``src/`` of this checkout and, with
@@ -56,6 +57,12 @@ def summarize(records, parent, change):
             for side in ("parent", "change"):
                 values = [m[name] for m in sides[side].values()]
                 entry[side] = statistics.median(values) if values else None
+            parent_runs = [m[name] for m in sides["parent"].values()]
+            if len(parent_runs) >= 2:
+                low, _, high = statistics.quantiles(parent_runs, n=4)
+                entry["parent_iqr"] = high - low
+            else:
+                entry["parent_iqr"] = None
             entry["pairs"] = len(seeds)
             entry["change_wins"] = sum(
                 1 for s in seeds if sides["change"][s][name] < sides["parent"][s][name]
