@@ -22,7 +22,7 @@ Scalar computation, so reports do not change.
 from fractions import Fraction
 from math import gcd, lcm
 
-from .scalars import Scalar, ZERO
+from .scalars import SCALAR_TYPES, Scalar, ZERO, as_scalar
 
 
 def form(values):
@@ -200,9 +200,48 @@ class PairTable:
     Kernels take and return row indexes, so a chain of products, sums and
     comparisons never builds a Scalar.  ``table`` builds the Scalars each
     time it is read and keeps none.
+
+    The *-algebra shared by every pair table (``+``, ``-``, negation,
+    scaling and ``adjoint``) lives here.  It relies on two hooks that a
+    subclass defines: ``_like(index)``, a table of the same class and levels
+    holding ``index``, and ``_aligned(other)``, the two operands as tables
+    at common levels (or a TypeError/ValueError when they cannot be).  A
+    subclass defines its own product and equality.
     """
 
     __slots__ = ("_index",)
+
+    def __add__(self, other):
+        f, g = self._aligned(other)
+        return f._like(index_combine(f._index, g._index))
+
+    def __sub__(self, other):
+        f, g = self._aligned(other)
+        return f._like(index_combine(f._index, g._index, -1))
+
+    def __neg__(self):
+        return (-1) * self
+
+    def __mul__(self, other):
+        """Scaling by an int, Fraction or Scalar."""
+        if not isinstance(other, SCALAR_TYPES):
+            return NotImplemented
+        c = as_scalar(other)
+        return self._like(scale_index(c, self._index) if c else EMPTY)
+
+    def __rmul__(self, other):
+        # Scaling commutes; a subclass's own __mul__ dispatches it.
+        if not isinstance(other, SCALAR_TYPES):
+            return NotImplemented
+        return self * other
+
+    def adjoint(self):
+        """The conjugate transpose ``{(j, i): conj(value)}``."""
+        return self._like(index_adjoint(self._index))
+
+    # Equal tables need not share an index (nor, for kernels, levels), so
+    # no hash of the index could agree with __eq__.
+    __hash__ = None
 
     @property
     def table(self):

@@ -18,10 +18,8 @@ import math
 from fractions import Fraction
 
 from . import _exact
-from .scalars import Scalar, ZERO, as_scalar
+from .scalars import SCALAR_TYPES, ZERO, as_scalar
 from .cylinder import indicator_path
-
-_SCALAR_TYPES = (int, Fraction, Scalar)
 
 
 class AfElement(_exact.PairTable):
@@ -34,8 +32,7 @@ class AfElement(_exact.PairTable):
     __slots__ = ("diagram", "level")
 
     def __init__(self, diagram, level, blocks):
-        if not 0 <= level <= diagram.depth:
-            raise ValueError("level %d out of range 0..%d" % (level, diagram.depth))
+        diagram._check_level(level)
         groups = diagram.block_paths(level)
         if len(blocks) != len(groups):
             raise ValueError("expected %d blocks, got %d" % (len(groups), len(blocks)))
@@ -66,8 +63,7 @@ class AfElement(_exact.PairTable):
 
     @classmethod
     def zero(cls, diagram, level):
-        if not 0 <= level <= diagram.depth:
-            raise ValueError("level %d out of range 0..%d" % (level, diagram.depth))
+        diagram._check_level(level)
         return cls._from_index(diagram, level, _exact.EMPTY)
 
     @classmethod
@@ -125,46 +121,25 @@ class AfElement(_exact.PairTable):
                 total_im += ims[k]
         return _exact.scalar(den, total_re, total_im)
 
-    # -- *-algebra operations -----------------------------------------------------
+    # -- *-algebra operations (the rest are shared on _exact.PairTable) --------
 
-    def _require_compatible(self, other):
+    def _like(self, index):
+        return AfElement._from_index(self.diagram, self.level, index)
+
+    def _aligned(self, other):
         if not isinstance(other, AfElement):
             raise TypeError("expected an AfElement, got %s" % type(other).__name__)
         if other.diagram is not self.diagram:
             raise ValueError("operands live on different diagrams")
         if other.level != self.level:
             raise ValueError("operands live at different levels (%d vs %d)" % (self.level, other.level))
-
-    def __add__(self, other):
-        self._require_compatible(other)
-        return AfElement._from_index(self.diagram, self.level, _exact.index_combine(self._index, other._index))
-
-    def __sub__(self, other):
-        self._require_compatible(other)
-        return AfElement._from_index(self.diagram, self.level, _exact.index_combine(self._index, other._index, -1))
-
-    def __neg__(self):
-        return (-1) * self
+        return self, other
 
     def __mul__(self, other):
-        if isinstance(other, _SCALAR_TYPES):
-            c = as_scalar(other)
-            if not c:
-                return AfElement.zero(self.diagram, self.level)
-            return AfElement._from_index(self.diagram, self.level, _exact.scale_index(c, self._index))
-        self._require_compatible(other)
-        return AfElement._from_index(
-            self.diagram, self.level, _exact.product(self._index, other._index)
-        )
-
-    def __rmul__(self, other):
-        if isinstance(other, _SCALAR_TYPES):
-            return self * other
-        return NotImplemented
-
-    def adjoint(self):
-        """Conjugate transpose."""
-        return AfElement._from_index(self.diagram, self.level, _exact.index_adjoint(self._index))
+        if isinstance(other, SCALAR_TYPES):
+            return super().__mul__(other)
+        f, g = self._aligned(other)
+        return f._like(_exact.product(f._index, g._index))
 
     def __eq__(self, other):
         if not isinstance(other, AfElement):
@@ -174,8 +149,6 @@ class AfElement(_exact.PairTable):
             and other.level == self.level
             and _exact.index_equal(other._index, self._index)
         )
-
-    __hash__ = None
 
     # -- the tower --------------------------------------------------------------
 

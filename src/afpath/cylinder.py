@@ -10,9 +10,7 @@ their tables match entrywise.
 from fractions import Fraction
 
 from . import _exact
-from .scalars import Scalar, as_scalar
-
-_SCALAR_TYPES = (int, Fraction, Scalar)
+from .scalars import SCALAR_TYPES, as_scalar
 
 
 class CylinderFunction:
@@ -26,8 +24,7 @@ class CylinderFunction:
     __slots__ = ("diagram", "level", "_form")
 
     def __init__(self, diagram, level, table):
-        if not 0 <= level <= diagram.depth:
-            raise ValueError("level %d out of range 0..%d" % (level, diagram.depth))
+        diagram._check_level(level)
         table = [as_scalar(x) for x in table]
         if len(table) != len(diagram.paths(level)):
             raise ValueError(
@@ -78,7 +75,7 @@ class CylinderFunction:
 
     def _combined(self, other, op):
         """``op`` on the two operands' forms at their common level."""
-        if isinstance(other, _SCALAR_TYPES):
+        if isinstance(other, SCALAR_TYPES):
             other = constant(self.diagram, other)
         elif not isinstance(other, CylinderFunction):
             raise TypeError("expected a CylinderFunction, got %s" % type(other).__name__)
@@ -104,7 +101,7 @@ class CylinderFunction:
         return self * -1
 
     def __mul__(self, other):
-        if isinstance(other, _SCALAR_TYPES):
+        if isinstance(other, SCALAR_TYPES):
             return CylinderFunction._from_form(
                 self.diagram, self.level, _exact.scale(as_scalar(other), self._form)
             )
@@ -145,8 +142,7 @@ class CylinderFunction:
         Checked on the table refined to max(level, n): values must agree on
         every pair of paths in the same level-n tail class.
         """
-        if not 0 <= n <= self.diagram.depth:
-            raise ValueError("level %d out of range 0..%d" % (n, self.diagram.depth))
+        self.diagram._check_level(n)
         m = max(self.level, n)
         classes, _ = self.diagram.tail_classes(m, n)
         # Entries over one denominator are equal exactly when their numerators are.

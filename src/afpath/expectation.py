@@ -25,8 +25,7 @@ def expect(f, n):
 
 def _averaged(f, n, mean):
     d = f.diagram
-    if not 0 <= n <= d.depth:
-        raise ValueError("level %d out of range 0..%d" % (n, d.depth))
+    d._check_level(n)
     m = max(f.level, n)
     classes, class_of = d.tail_classes(m, n)
     sums = class_sums(f._exact_form(m), classes, mean)
@@ -71,22 +70,18 @@ def prefix_sum_check(f, n, m):
     Returns True when every instance holds exactly.
     """
     d = f.diagram
-    if not (0 <= n <= m <= d.depth):
-        raise ValueError("need 0 <= n <= m <= depth, got n=%d m=%d" % (n, m))
+    desc = d.descendants(n, m)  # raises unless 0 <= n <= m <= depth
     if f.level > m:
         raise ValueError("f has level %d, cannot evaluate on length-%d paths" % (f.level, m))
     # Both sides are read at level m, each over its own denominator.
     den_f, res_f, ims_f = f._exact_form(m)
     den_e, res_e, ims_e = expect(f, n)._exact_form(m)
-    paths_n = d.paths(n)
-    blocks = d.block_paths(n)
-    for v in d.vertices(n):
-        xs = [paths_n[gid] for gid in blocks[v.index]]
-        for w in d.vertices(m):
-            for y in d.segments(v, w):
-                ids = [d.path_id(x.followed_by(y)) for x in xs]
-                lhs = (sum(res_f[g] for g in ids), sum(ims_f[g] for g in ids))
-                rhs = (sum(res_e[g] for g in ids), sum(ims_e[g] for g in ids))
-                if lhs[0] * den_e != rhs[0] * den_f or lhs[1] * den_e != rhs[1] * den_f:
-                    return False
+    for gids in d.block_paths(n):
+        # The paths x into one vertex have their level-m extensions in the
+        # same segment order, so the t-th id of each is x.y for the t-th y.
+        for ids in zip(*(range(desc[g], desc[g + 1]) for g in gids)):
+            lhs = (sum(res_f[g] for g in ids), sum(ims_f[g] for g in ids))
+            rhs = (sum(res_e[g] for g in ids), sum(ims_e[g] for g in ids))
+            if lhs[0] * den_e != rhs[0] * den_f or lhs[1] * den_e != rhs[1] * den_f:
+                return False
     return True

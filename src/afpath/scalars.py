@@ -120,6 +120,10 @@ class Scalar:
         )
 
 
+# The types a table can be scaled by.
+SCALAR_TYPES = (int, Fraction, Scalar)
+
+
 def as_scalar(x):
     """Promote an int or Fraction to a Scalar; pass Scalars through."""
     if isinstance(x, Scalar):

@@ -91,6 +91,14 @@ def test_counts_level_out_of_range(capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("level", [-1, 7])
+def test_counts_level_out_of_range_prints_only_the_diagram_error(level, capsys):
+    assert main(["counts", "pascal", "--level", str(level)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: level %d out of range 0..6\n" % level
+
+
 def test_counts_rejects_invalid_diagram(tmp_path, capsys):
     p = tmp_path / "bad.bratteli"
     p.write_text(DEAD_END)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from afpath import expectation
 from afpath import (
     CylinderFunction,
     Scalar,
@@ -20,6 +21,7 @@ from afpath import (
     random_cylinder,
     Vertex,
 )
+from test_extension_maps import MIXED
 
 
 def test_expect_of_edge_indicator_car(car):
@@ -150,6 +152,60 @@ def test_prefix_sum_rejects_bad_levels(car):
     g = f.refine(4)
     with pytest.raises(ValueError):
         prefix_sum_check(g, 1, 3)
+
+
+def _prefix_sums_hold_by_segments(f, e, n, m):
+    """The check by explicit paths: for every segment y from a level-n
+    vertex v, sum f and e over the continuations x.y of the paths x into v."""
+    d = f.diagram
+    for v in d.vertices(n):
+        xs = [p for p in d.paths(n) if p.terminal() == v]
+        for w in d.vertices(m):
+            for y in d.segments(v, w):
+                paths = [x.followed_by(y) for x in xs]
+                if sum(f.eval(p) for p in paths) != sum(e.eval(p) for p in paths):
+                    return False
+    return True
+
+
+@pytest.mark.parametrize("name", ["car", "pascal", "fibonacci", "uhf3", "mixed"])
+def test_prefix_sum_check_matches_the_segment_walk(name, monkeypatch):
+    # Against the true expectation both sides hold; against one moved by
+    # +1 at a path p and -1 at a path q they hold exactly when p and q
+    # continue one segment, i.e. share a level-n tail class.
+    d = MIXED if name == "mixed" else builtin_diagram(name)
+    rng = random.Random(43)
+    true_expect = expectation.expect
+    for m in range(5):
+        for n in range(m + 1):
+            f = random_cylinder(d, rng.randint(0, m), rng)
+            assert prefix_sum_check(f, n, m) is True
+            assert _prefix_sums_hold_by_segments(f, true_expect(f, n), n, m)
+            classes, class_of = d.tail_classes(m, n)
+            for same_class in (True, False):
+                p = rng.randrange(len(d.paths(m)))
+                q = rng.choice(classes[class_of[p]]) if same_class else rng.randrange(len(d.paths(m)))
+                bits = [0] * len(d.paths(m))
+                bits[p] += 1
+                bits[q] -= 1
+                moved = true_expect(f, n) + CylinderFunction(d, m, bits)
+                monkeypatch.setattr(expectation, "expect", lambda g, k: moved)
+                want = _prefix_sums_hold_by_segments(f, moved, n, m)
+                assert want == (class_of[p] == class_of[q])
+                assert prefix_sum_check(f, n, m) is want
+                monkeypatch.setattr(expectation, "expect", true_expect)
+
+
+def test_prefix_sum_check_fails_when_expect_is_off_at_one_path(pascal, monkeypatch):
+    rng = random.Random(47)
+    f = random_cylinder(pascal, 3, rng)
+    true_expect = expectation.expect
+    for p in range(len(pascal.paths(3))):
+        bits = [0] * len(pascal.paths(3))
+        bits[p] = Scalar(0, 1)
+        off = true_expect(f, 1) + CylinderFunction(pascal, 3, bits)
+        monkeypatch.setattr(expectation, "expect", lambda g, k: off)
+        assert prefix_sum_check(f, 1, 3) is False
 
 
 def test_level_bounds_checked(car):
