@@ -68,7 +68,7 @@ class AfElement(_exact.PairTable):
 
     @classmethod
     def identity(cls, diagram, level):
-        count = len(diagram.paths(level))
+        count = len(diagram.terminals(level))
         return cls._from_index(diagram, level, _exact.diagonal((1, [1] * count, [0] * count)))
 
     # -- block access ----------------------------------------------------------
@@ -112,10 +112,10 @@ class AfElement(_exact.PairTable):
 
     def trace_block(self, v):
         den, _, _, rows = self._index
-        pos = self.diagram.block_pos(self.level)
+        terminals = self.diagram.terminals(self.level)
         total_re = total_im = 0
         for a, (cols, res, ims) in rows.items():
-            if pos[a][0] == v and a in cols:
+            if terminals[a] == v and a in cols:
                 k = cols.index(a)
                 total_re += res[k]
                 total_im += ims[k]
@@ -260,19 +260,14 @@ def jones_refinement_check(diagram, n, m):
         raise ValueError("need 0 <= n < m <= depth, got n=%d m=%d" % (n, m))
     lhs = jones_projection(d, n, m)
     e_next = jones_projection(d, n + 1, m)
-    # The summand depends on g only through its last edge, so collect the
-    # scalar weights per edge first instead of recomputing equal products.
-    weights = {}
-    for g in d.paths(n + 1):
-        last = g.edges[-1]
-        weight = Fraction(
-            d.path_count(g.terminal()), d.path_count(last.source_vertex()) ** 2
-        )
-        weights[last] = weights.get(last, 0) + weight
+    # The summand depends on g only through its last edge, and #r(g') paths
+    # g end in each edge, so the weights of one edge sum to #r(g) / #r(g').
     total = AfElement.zero(d, m)
-    for last in sorted(weights):
-        side = represent_cylinder(indicator_edge(d, last).refine(m))
-        total = total + weights[last] * (side * e_next * side)
+    for v in d.vertices(n):
+        for last in d.edges_from(v):
+            weight = Fraction(d.path_count(last.target_vertex()), d.path_count(v))
+            side = represent_cylinder(indicator_edge(d, last).refine(m))
+            total = total + weight * (side * e_next * side)
     return lhs == total
 
 
@@ -293,8 +288,10 @@ def embed_multiplicities(diagram, n):
     if not 0 <= n < d.depth:
         raise ValueError("level %d has no embedding (depth %d)" % (n, d.depth))
     rows = []
-    for gids in d.block_paths(n):
-        image = AfElement._from_index(d, n, _unit_index(gids[0], gids[0])).embed()
+    terminals = d.terminals(n)
+    for v in range(d.vertex_counts[n]):
+        first = terminals.index(v)  # the first path id into v
+        image = AfElement._from_index(d, n, _unit_index(first, first)).embed()
         row = []
         for w in range(d.vertex_counts[n + 1]):
             t = image.trace_block(w)

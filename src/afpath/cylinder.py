@@ -26,10 +26,9 @@ class CylinderFunction:
     def __init__(self, diagram, level, table):
         diagram._check_level(level)
         table = [as_scalar(x) for x in table]
-        if len(table) != len(diagram.paths(level)):
-            raise ValueError(
-                "table has %d entries, level %d has %d paths" % (len(table), level, len(diagram.paths(level)))
-            )
+        count = len(diagram.terminals(level))
+        if len(table) != count:
+            raise ValueError("table has %d entries, level %d has %d paths" % (len(table), level, count))
         self.diagram = diagram
         self.level = level
         self._form = _exact.form(table)
@@ -173,7 +172,7 @@ def constant(diagram, value):
 def indicator_path(diagram, path):
     """The indicator of all paths extending the given rooted path."""
     n = len(path)
-    bits = [0] * len(diagram.paths(n))
+    bits = [0] * len(diagram.terminals(n))
     bits[diagram.path_id(path)] = 1
     return _indicator(diagram, n, bits)
 
@@ -181,7 +180,7 @@ def indicator_path(diagram, path):
 def indicator_vertex(diagram, v):
     """The indicator of paths passing through vertex v, at level v.level."""
     diagram._check_vertex(v)
-    return _indicator(diagram, v.level, [int(p.terminal() == v) for p in diagram.paths(v.level)])
+    return _indicator(diagram, v.level, [int(t == v.index) for t in diagram.terminals(v.level)])
 
 
 def indicator_edge(diagram, edge):

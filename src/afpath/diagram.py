@@ -287,21 +287,35 @@ class BratteliDiagram:
             return tuple(levels)
         return self.memo(("counts",), build)
 
+    def _upward(self, kind, n, root, step):
+        """The memoized level-n tuple of ``kind``: ``root()`` builds level 0
+        and ``step(k, prev)`` level k+1.  One loop resumes from the deepest
+        level already built, so a deep diagram never recurses per level."""
+        self._check_level(n)
+        k = n
+        while k and (kind, k) not in self._memo:
+            k -= 1
+        out = self.memo((kind, k), root)
+        for k in range(k, n):
+            out = self.memo((kind, k + 1), lambda: step(k, out))
+        return out
+
     def paths(self, n):
         """All rooted paths of length n, lexicographically by edge sequence."""
-        self._check_level(n)
-        # Build upward in one loop from the deepest level already built (or
-        # the root), so a deep diagram never recurses per level.
-        k = n
-        while k and ("paths", k) not in self._memo:
-            k -= 1
-        out = self.memo(("paths", k), lambda: (FinitePath(()),))
-        for k in range(k + 1, n + 1):
-            out = self.memo(
-                ("paths", k),
-                lambda: tuple(p.extend(e) for p in out for e in self.edges_from(p.terminal())),
-            )
-        return out
+        def step(k, prev):
+            return tuple(p.extend(e) for p in prev for e in self.edges_from(p.terminal()))
+        return self._upward("paths", n, lambda: (FinitePath(()),), step)
+
+    def terminals(self, n):
+        """The terminal-vertex index of each length-n path id, as a tuple.
+
+        Edges leave a vertex in (target, copy) order, so the extensions of a
+        path into vertex t end at each j, ``incidence[k][t][j]`` times in a row.
+        """
+        def step(k, prev):
+            targets = [[j for j, mult in enumerate(row) for _ in range(mult)] for row in self.incidence[k]]
+            return tuple(j for t in prev for j in targets[t])
+        return self._upward("terminals", n, lambda: (0,), step)
 
     def path_id(self, path):
         """Position of a rooted path within the canonical enumeration."""
@@ -337,8 +351,8 @@ class BratteliDiagram:
         if not 0 <= n < self.depth:
             raise ValueError("level %d has no children (need 0 <= level < depth %d)" % (n, self.depth))
         def build():
-            degree = [len(self.edges_from(v)) for v in self.vertices(n)]
-            return tuple(accumulate((degree[p.terminal().index] for p in self.paths(n)), initial=0))
+            degree = [sum(row) for row in self.incidence[n]]
+            return tuple(accumulate((degree[t] for t in self.terminals(n)), initial=0))
         return self.memo(("children", n), build)
 
     def descendants(self, n, m):
@@ -346,7 +360,7 @@ class BratteliDiagram:
         length-m extensions of length-n path id i are ``range(d[i], d[i+1])``."""
         if not 0 <= n <= m <= self.depth:
             raise ValueError("need 0 <= n <= m <= depth, got n=%d m=%d" % (n, m))
-        offsets = range(len(self.paths(n)) + 1)
+        offsets = range(len(self.terminals(n)) + 1)
         for k in range(n, m):
             step = self.children(k)
             offsets = [step[i] for i in offsets]
@@ -356,18 +370,17 @@ class BratteliDiagram:
 
     def block_paths(self, n):
         """Path ids at level n grouped by terminal vertex, canonical order."""
-        self._check_level(n)
         def build():
             groups = [[] for _ in range(self.vertex_counts[n])]
-            for gid, p in enumerate(self.paths(n)):
-                groups[p.terminal().index].append(gid)
-            return tuple(tuple(g) for g in groups)
+            for gid, t in enumerate(self.terminals(n)):
+                groups[t].append(gid)
+            return tuple(map(tuple, groups))
         return self.memo(("block_paths", n), build)
 
     def block_pos(self, n):
         """Map path id -> (terminal vertex index, position inside the block)."""
         def build():
-            pos = [None] * len(self.paths(n))
+            pos = [None] * len(self.terminals(n))
             for v, gids in enumerate(self.block_paths(n)):
                 for local, gid in enumerate(gids):
                     pos[gid] = (v, local)
@@ -381,23 +394,26 @@ class BratteliDiagram:
         from coordinate n on and pass through the same level-n vertex (the
         vertex clause only matters when m = n).  Returns (classes, class_of)
         where classes is a tuple of tuples of path ids and class_of maps a
-        path id to its class index.
+        path id to its class index.  Classes are numbered in order of their
+        first path id.
         """
         if not 0 <= n <= m <= self.depth:
             raise ValueError("need 0 <= n <= m <= depth, got n=%d m=%d" % (n, m))
         def build():
-            key_to_class = {}
-            classes = []
-            class_of = []
-            for p in self.paths(m):
-                key = (p.vertex_at(n).index, p.edges[n:])
-                if key not in key_to_class:
-                    key_to_class[key] = len(classes)
-                    classes.append([])
-                cid = key_to_class[key]
-                classes[cid].append(len(class_of))
-                class_of.append(cid)
-            return tuple(tuple(c) for c in classes), tuple(class_of)
+            # The t-th extensions of the level-n paths into vertex v follow one
+            # segment: class (v, t).  v's classes are numbered at its first path.
+            desc = self.descendants(n, m)
+            first, class_of, count = {}, [], 0
+            for i, v in enumerate(self.terminals(n)):
+                size = desc[i + 1] - desc[i]
+                if v not in first:
+                    first[v] = count
+                    count += size
+                class_of.extend(range(first[v], first[v] + size))
+            classes = [[] for _ in range(count)]
+            for gid, cid in enumerate(class_of):
+                classes[cid].append(gid)
+            return tuple(map(tuple, classes)), tuple(class_of)
         return self.memo(("tail_classes", m, n), build)
 
     def prefix_ids(self, m_fine, m_coarse):

@@ -31,7 +31,7 @@ class GroupoidFunction(_exact.PairTable):
                 "need 0 <= support <= table <= depth, got %d, %d" % (support_level, table_level)
             )
         _, class_of = d.tail_classes(table_level, support_level)
-        count = len(d.paths(table_level))
+        count = len(d.terminals(table_level))
         clean = {}
         for (a, b), val in table.items():
             if not (0 <= a < count and 0 <= b < count):

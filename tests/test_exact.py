@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from math import gcd
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from afpath import (
@@ -29,6 +30,7 @@ from afpath._exact import (
     index_adjoint,
     index_combine,
     index_equal,
+    indexed,
     multiply,
     pair_table,
     product,
@@ -452,3 +454,54 @@ def test_class_sums_of_cancelling_and_imaginary_entries():
     means = scalar_table(class_sums(form(table), ((0, 1), (2, 3)), mean=True))
     assert means == (ZERO, Scalar(Fraction(3, 8), Fraction(1, 3)))
     assert means[1].to_report() == "3/8+1/3*i"
+
+
+# -- building a row index -------------------------------------------------------------
+
+
+def check_indexed(den, rows):
+    """``indexed(den, rows)`` against its contract, cell by cell in Fractions."""
+    got = indexed(den, rows)
+    cells = {(i, j): (Fraction(x, den), Fraction(y, den)) for i, row in rows.items() for j, x, y in zip(*row)}
+    if not cells:
+        assert got == EMPTY
+        return
+    den2, top, width, rows2 = got
+    assert rows2.keys() == rows.keys()
+    assert {(i, j): (Fraction(x, den2), Fraction(y, den2)) for i, row in rows2.items() for j, x, y in zip(*row)} == cells
+    numerators = [x for _, res, ims in rows2.values() for x in res + ims]
+    assert gcd(den2, *numerators) == 1
+    assert top == max(map(abs, numerators))
+    assert width == max(len(cols) for cols, _, _ in rows.values())
+
+
+@pytest.mark.parametrize(
+    "den, rows",
+    [
+        (5, {}),
+        (5, {0: ([], [], []), 3: ([], [], [])}),
+        # all-zero imaginary parts
+        (6, {0: ([1, 2], [3, -9], [0, 0]), 2: ([0], [6], [0])}),
+        # negative extremes set the size bound, in either part
+        (1, {0: ([0], [-(2**70)], [5]), 1: ([1], [2**69], [-(2**70) - 1])}),
+        (7, {4: ([0, 1, 2], [-3, 1, 2], [0, -8, 8])}),
+        # a gcd > 1 with the denominator, shared across rows
+        (12, {0: ([0, 1], [24, -36], [12, 0]), 3: ([2], [0], [-48])}),
+        (90, {1: ([1], [-30], [60]), 2: ([0, 2], [15, 0], [0, -45])}),
+    ],
+)
+def test_indexed_reduces_and_bounds_its_rows(den, rows):
+    check_indexed(den, rows)
+
+
+row_cells = st.lists(
+    st.tuples(st.integers(0, 6), st.integers(-40, 40), st.integers(-40, 40)), max_size=5, unique_by=lambda c: c[0]
+)
+
+
+@given(st.dictionaries(st.integers(0, 6), row_cells, max_size=5), st.integers(1, 30), st.integers(1, 6))
+def test_indexed_reduces_and_bounds_random_rows(cells, den, k):
+    check_indexed(den, {
+        i: ([j for j, _, _ in row], [x * k for _, x, _ in row], [y * k for _, _, y in row])
+        for i, row in cells.items()
+    })

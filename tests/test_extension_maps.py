@@ -1,5 +1,6 @@
-"""Path-id extension maps on a diagram with parallel edges and several
-vertices per level, checked against explicit FinitePath oracles."""
+"""Path-id extension maps on diagrams with parallel edges and several
+vertices per level (``MIXED`` and seeded random ones), checked against
+explicit FinitePath oracles."""
 
 import random
 from fractions import Fraction
@@ -14,8 +15,16 @@ from afpath import (
     GroupoidFunction,
     Scalar,
     builtin_diagram,
+    class_sum,
+    constant,
+    embed_multiplicities,
+    expect,
+    jones_kernel,
+    parse_diagram,
     represent,
+    serialize_diagram,
 )
+from afpath import cli
 from afpath.harness import random_af_element, random_cylinder, random_groupoid_function
 
 # Vertices 1,3,3,3,3 with multiplicities 0-2 and uneven fan-in: 4, 9, 21
@@ -36,6 +45,108 @@ def test_mixed_diagram_shape():
     d = MIXED
     assert d.validate() == []
     assert [len(d.paths(n)) for n in range(d.depth + 1)] == [1, 4, 9, 21, 41]
+
+
+def random_diagram(seed, depth=4):
+    """A seeded valid diagram with 2-3 vertices below the root, multiplicities
+    0-2, at least one parallel edge per level and uneven fan-in."""
+    rng = random.Random("diagram:%d" % seed)
+    counts = [1] + [rng.randint(2, 3) for _ in range(depth)]
+    mats = []
+    for n in range(depth):
+        rows, cols = counts[n], counts[n + 1]
+        while True:
+            mat = [[rng.choice((0, 0, 1, 2)) for _ in range(cols)] for _ in range(rows)]
+            fan_in = [sum(row[j] for row in mat) for j in range(cols)]
+            if all(any(row) for row in mat) and all(fan_in) and len(set(fan_in)) > 1 and 2 in sum(mat, []):
+                break
+        mats.append(mat)
+    d = BratteliDiagram(counts, mats)
+    assert d.validate() == []
+    return d
+
+
+def path_id_diagrams():
+    yield from ((name, builtin_diagram(name, 4)) for name in BUILTIN_NAMES)
+    yield "mixed", MIXED
+    for seed in range(12):
+        d = random_diagram(seed)
+        back = parse_diagram(serialize_diagram(d))
+        assert (back.vertex_counts, back.incidence) == (d.vertex_counts, d.incidence)
+        yield "random-%d" % seed, back
+
+
+def oracle_tail_classes(d, m, n):
+    """Level-n tail classes of the length-m paths, keyed by the level-n
+    vertex and the edges from n on, numbered in order of first appearance."""
+    key_to_class = {}
+    classes = []
+    class_of = []
+    for p in d.paths(m):
+        key = (p.vertex_at(n).index, p.edges[n:])
+        if key not in key_to_class:
+            key_to_class[key] = len(classes)
+            classes.append([])
+        cid = key_to_class[key]
+        classes[cid].append(len(class_of))
+        class_of.append(cid)
+    return tuple(tuple(c) for c in classes), tuple(class_of)
+
+
+@pytest.mark.parametrize("d", [pytest.param(d, id=name) for name, d in path_id_diagrams()])
+def test_path_id_maps_match_path_oracles(d):
+    for n in range(d.depth + 1):
+        paths = d.paths(n)
+        ends = tuple(p.terminal().index for p in paths)
+        assert d.terminals(n) == ends
+        assert d.block_paths(n) == tuple(
+            tuple(g for g, t in enumerate(ends) if t == v) for v in range(d.vertex_counts[n])
+        )
+        assert d.block_pos(n) == tuple((t, ends[:g].count(t)) for g, t in enumerate(ends))
+        if n < d.depth:
+            c = d.children(n)
+            assert len(c) == len(paths) + 1
+            for g, p in enumerate(paths):
+                assert list(range(c[g], c[g + 1])) == [d.path_id(p.extend(e)) for e in d.edges_from(p.terminal())]
+        for k in range(n + 1):
+            assert d.tail_classes(n, k) == oracle_tail_classes(d, n, k)
+
+
+def test_terminals_rejects_levels_outside_range():
+    for level in (-1, MIXED.depth + 1):
+        with pytest.raises(ValueError):
+            MIXED.terminals(level)
+
+
+def _path_keys(d):
+    return sorted(key for key in d._memo if key[0] in ("paths", "path_index"))
+
+
+def test_id_level_operations_enumerate_no_paths(monkeypatch, capsys):
+    depth = 10
+    for make in (lambda: builtin_diagram("fibonacci", depth), lambda: random_diagram(0, depth)):
+        d = make()
+        assert embed_multiplicities(d, depth - 1) == d.incidence[depth - 1]
+        f = random_cylinder(d, 6, random.Random(1))
+        expect(f, 3)
+        class_sum(f, 5)
+        class_sum(constant(d, 1).refine(depth), 2)
+        AfElement.identity(d, 2).embed_to(depth)
+        random_af_element(d, 3, random.Random(2)).embed_to(7)
+        jones_kernel(d, 2).widen(4, depth)
+        random_groupoid_function(d, 1, 3, random.Random(3)).widen(2, 8)
+        assert _path_keys(d) == []
+    built = []
+    original = cli.resolve_diagram
+
+    def resolve(config):
+        built.append(original(config))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "resolve_diagram", resolve)
+    assert cli.main(["embed-matrix", "car", "--depth", "30", "--level", "12"]) == 0
+    assert capsys.readouterr().out.endswith("match=yes\n")
+    assert _path_keys(built[0]) == []
 
 
 def test_children_are_the_one_edge_extensions():
