@@ -171,10 +171,14 @@ def constant(diagram, value):
 
 def indicator_path(diagram, path):
     """The indicator of all paths extending the given rooted path."""
-    n = len(path)
-    bits = [0] * len(diagram.terminals(n))
-    bits[diagram.path_id(path)] = 1
-    return _indicator(diagram, n, bits)
+    return _indicator_id(diagram, len(path), diagram.path_id(path))
+
+
+def _indicator_id(diagram, level, gid):
+    """The indicator of the length-``level`` path with id ``gid``."""
+    bits = [0] * len(diagram.terminals(level))
+    bits[gid] = 1
+    return _indicator(diagram, level, bits)
 
 
 def indicator_vertex(diagram, v):

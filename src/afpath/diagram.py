@@ -10,7 +10,7 @@ is what makes byte-level determinism possible downstream.
 """
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, compress
 
 
 class DepthExhaustedError(ValueError):
@@ -166,6 +166,13 @@ def format_path(path):
     return ";".join("%d>%d#%d" % (e.source, e.target, e.copy) for e in edges)
 
 
+def _int_row(row):
+    """A row as a tuple of ``int``; a row that already is one is kept as is."""
+    if type(row) is tuple and set(map(type, row)) == {int}:
+        return row
+    return tuple(map(int, row))
+
+
 class BratteliDiagram:
     """Vertex counts plus per-level multiplicity matrices, depth >= 1.
 
@@ -177,7 +184,7 @@ class BratteliDiagram:
 
     def __init__(self, vertex_counts, incidence):
         counts = tuple(int(c) for c in vertex_counts)
-        matrices = tuple(tuple(tuple(int(x) for x in row) for row in mat) for mat in incidence)
+        matrices = tuple(tuple(_int_row(row) for row in mat) for mat in incidence)
         if len(matrices) < 1:
             raise ValueError("diagram needs depth >= 1")
         if len(counts) != len(matrices) + 1:
@@ -197,6 +204,12 @@ class BratteliDiagram:
         self.vertex_counts = counts
         self.incidence = matrices
         self.depth = len(matrices)
+        # The columns of each row with a nonzero multiplicity: validation,
+        # counts, terminals and edges loop over these, never the zeros.
+        self._nonzero = tuple(
+            tuple(tuple(compress(range(width), row)) for row in mat)
+            for mat, width in zip(matrices, counts[1:])
+        )
         self._memo = {}
 
     # -- structure ---------------------------------------------------------
@@ -241,17 +254,26 @@ class BratteliDiagram:
         for n, c in enumerate(self.vertex_counts):
             if c == 0:
                 found.append("(a) level=%d: level is empty" % n)
-        for n, mat in enumerate(self.incidence):
-            for i, row in enumerate(mat):
-                for j, x in enumerate(row):
+        for n, (mat, nonzero) in enumerate(zip(self.incidence, self._nonzero)):
+            negative, barren, fed = [], [], set()
+            for i, (row, cols) in enumerate(zip(mat, nonzero)):
+                emits = False
+                for j in cols:
+                    x = row[j]
                     if x < 0:
-                        found.append("(c) level=%d edge (%d->%d): negative multiplicity %d" % (n, i, j, x))
-            for i, row in enumerate(mat):
-                if not any(x > 0 for x in row):
-                    found.append("(e) level=%d vertex=%d: no outgoing edge" % (n, i))
-            for j in range(self.vertex_counts[n + 1]):
-                if not any(row[j] > 0 for row in mat):
-                    found.append("(f) level=%d vertex=%d: no incoming edge" % (n + 1, j))
+                        negative.append("(c) level=%d edge (%d->%d): negative multiplicity %d" % (n, i, j, x))
+                    else:
+                        emits = True
+                        fed.add(j)
+                if not emits:
+                    barren.append("(e) level=%d vertex=%d: no outgoing edge" % (n, i))
+            found += negative
+            found += barren
+            found.extend(
+                "(f) level=%d vertex=%d: no incoming edge" % (n + 1, j)
+                for j in range(self.vertex_counts[n + 1])
+                if j not in fed
+            )
         return found
 
     # -- edges and paths ----------------------------------------------------
@@ -264,12 +286,9 @@ class BratteliDiagram:
                 "vertex %r sits at the truncation depth %d; no edges stored beyond it" % (v, self.depth)
             )
         def build():
-            out = []
             row = self.incidence[v.level][v.index]
-            for j, mult in enumerate(row):
-                for k in range(mult):
-                    out.append(Edge(v.level, v.index, j, k))
-            return tuple(out)
+            cols = self._nonzero[v.level][v.index]
+            return tuple(Edge(v.level, v.index, j, k) for j in cols for k in range(row[j]))
         return self.memo(("edges_from", v.level, v.index), build)
 
     def path_count(self, v):
@@ -281,9 +300,12 @@ class BratteliDiagram:
         # One loop down the diagram, so a deep diagram never recurses per level.
         def build():
             levels = [(1,) * self.vertex_counts[0]]
-            for mat, width in zip(self.incidence, self.vertex_counts[1:]):
-                prev = levels[-1]
-                levels.append(tuple(sum(c * row[j] for c, row in zip(prev, mat)) for j in range(width)))
+            for mat, nonzero, width in zip(self.incidence, self._nonzero, self.vertex_counts[1:]):
+                out = [0] * width
+                for c, row, cols in zip(levels[-1], mat, nonzero):
+                    for j in cols:
+                        out[j] += c * row[j]
+                levels.append(tuple(out))
             return tuple(levels)
         return self.memo(("counts",), build)
 
@@ -291,7 +313,10 @@ class BratteliDiagram:
         """The memoized level-n tuple of ``kind``: ``root()`` builds level 0
         and ``step(k, prev)`` level k+1.  One loop resumes from the deepest
         level already built, so a deep diagram never recurses per level."""
-        self._check_level(n)
+        try:
+            return self._memo[(kind, n)]
+        except KeyError:
+            self._check_level(n)
         k = n
         while k and (kind, k) not in self._memo:
             k -= 1
@@ -313,7 +338,10 @@ class BratteliDiagram:
         path into vertex t end at each j, ``incidence[k][t][j]`` times in a row.
         """
         def step(k, prev):
-            targets = [[j for j, mult in enumerate(row) for _ in range(mult)] for row in self.incidence[k]]
+            targets = [
+                [j for j in cols for _ in range(row[j])]
+                for row, cols in zip(self.incidence[k], self._nonzero[k])
+            ]
             return tuple(j for t in prev for j in targets[t])
         return self._upward("terminals", n, lambda: (0,), step)
 
@@ -351,7 +379,8 @@ class BratteliDiagram:
         if not 0 <= n < self.depth:
             raise ValueError("level %d has no children (need 0 <= level < depth %d)" % (n, self.depth))
         def build():
-            degree = [sum(row) for row in self.incidence[n]]
+            rows = zip(self.incidence[n], self._nonzero[n])
+            degree = [sum(map(row.__getitem__, cols)) for row, cols in rows]
             return tuple(accumulate((degree[t] for t in self.terminals(n)), initial=0))
         return self.memo(("children", n), build)
 

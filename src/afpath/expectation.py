@@ -10,7 +10,7 @@ max(level(f), n).
 from fractions import Fraction
 
 from ._exact import class_sums, reindex
-from .cylinder import CylinderFunction, indicator_vertex
+from .cylinder import CylinderFunction, _indicator_id, indicator_vertex
 
 
 def class_sum(f, n):
@@ -50,13 +50,12 @@ def quasi_basis_apply(f, n):
     #r(gamma) * I_gamma * E_n(I_gamma * f); the quasi-basis property of the
     expectation says this returns f itself (refined to max(level(f), n)).
     """
-    from .cylinder import indicator_path  # local import to keep module load light
-
     d = f.diagram
+    sizes = [d.path_count(v) for v in d.vertices(n)]
     result = None
-    for gamma in d.paths(n):
-        ind = indicator_path(d, gamma)
-        term = d.path_count(gamma.terminal()) * (ind * expect(ind * f, n))
+    for gid, t in enumerate(d.terminals(n)):
+        ind = _indicator_id(d, n, gid)
+        term = sizes[t] * (ind * expect(ind * f, n))
         result = term if result is None else result + term
     return result
 

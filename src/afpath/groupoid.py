@@ -88,6 +88,8 @@ class GroupoidFunction(_exact.PairTable):
         newly admissible at the coarser support stay zero, which is exactly
         what the represented function does off the original support.
         """
+        if support_level == self.support_level and table_level == self.table_level:
+            return self
         d = self.diagram
         if support_level < self.support_level:
             raise ValueError(
@@ -101,8 +103,6 @@ class GroupoidFunction(_exact.PairTable):
             raise ValueError(
                 "need support <= table <= depth, got %d, %d" % (support_level, table_level)
             )
-        if support_level == self.support_level and table_level == self.table_level:
-            return self
         # An admissible pair ends at one vertex, so its t-th extensions
         # follow the same segment and stay admissible.
         return GroupoidFunction._from_index(
@@ -218,10 +218,12 @@ def vanishing_check(F, m):
         raise ValueError("need table_level <= m <= depth, got m=%d" % m)
     Fw = F.widen(n, m)
     jkw = jones_kernel(d, n).widen(n, m)
-    for eta in d.paths(m):
-        product = convolve(convolve(Fw, diag(indicator_path(d, eta))), jkw)
+    for eta in range(len(d.terminals(m))):
+        # diag(I_eta): the one-entry diagonal kernel at path id eta.
+        peak = GroupoidFunction._from_index(d, 0, m, _exact.indexed(1, {eta: ([eta], [1], [0])}))
+        product = convolve(convolve(Fw, peak), jkw)
         if not product.is_zero():
-            return eta
+            return d.paths(m)[eta]
     if not Fw.is_zero():
         raise AssertionError("nonzero kernel produced no witness; the peaked-product lemma failed")
     return True

@@ -1,6 +1,7 @@
 """Diagram structure: counting oracles, validation, parsing, canonical order."""
 
 import math
+import random
 
 import pytest
 
@@ -19,6 +20,7 @@ from afpath import (
     BUILTIN_NAMES,
     DEFAULT_DEPTHS,
 )
+from test_extension_maps import MIXED, random_diagram
 
 
 def brute_force_counts(d, n):
@@ -284,3 +286,133 @@ def test_truncated_builtin_matches_prefix():
     small = builtin_diagram("pascal", 3)
     assert small.vertex_counts == full.vertex_counts[:4]
     assert small.incidence == full.incidence[:3]
+
+
+# -- nonzero-row index against the dense per-entry loops ------------------------
+#
+# The three oracles below are the dense loops the nonzero-column index
+# replaced, kept verbatim: every entry of every row is visited.
+
+
+def dense_validate(d):
+    found = []
+    if d.vertex_counts[0] != 1:
+        found.append("(d) level=0: expected exactly one root vertex, got %d" % d.vertex_counts[0])
+    for n, c in enumerate(d.vertex_counts):
+        if c == 0:
+            found.append("(a) level=%d: level is empty" % n)
+    for n, mat in enumerate(d.incidence):
+        for i, row in enumerate(mat):
+            for j, x in enumerate(row):
+                if x < 0:
+                    found.append("(c) level=%d edge (%d->%d): negative multiplicity %d" % (n, i, j, x))
+        for i, row in enumerate(mat):
+            if not any(x > 0 for x in row):
+                found.append("(e) level=%d vertex=%d: no outgoing edge" % (n, i))
+        for j in range(d.vertex_counts[n + 1]):
+            if not any(row[j] > 0 for row in mat):
+                found.append("(f) level=%d vertex=%d: no incoming edge" % (n + 1, j))
+    return found
+
+
+def dense_level_counts(d):
+    levels = [(1,) * d.vertex_counts[0]]
+    for mat, width in zip(d.incidence, d.vertex_counts[1:]):
+        prev = levels[-1]
+        levels.append(tuple(sum(c * row[j] for c, row in zip(prev, mat)) for j in range(width)))
+    return tuple(levels)
+
+
+def dense_terminals(d, n):
+    level = (0,)
+    for k in range(n):
+        targets = [[j for j, mult in enumerate(row) for _ in range(mult)] for row in d.incidence[k]]
+        level = tuple(j for t in level for j in targets[t])
+    return level
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except Exception as exc:
+        return type(exc)
+
+
+def _invalid_diagrams():
+    yield "negative", BratteliDiagram((1, 3, 2), (((1, -2, 1),), ((-1, 1), (0, 0), (2, -3))))
+    yield "zero-row", BratteliDiagram((1, 2, 2), (((1, 1),), ((0, 0), (1, 0))))
+    yield "zero-column", BratteliDiagram((1, 2, 3), (((1, 1),), ((1, 0, 0), (2, 0, 1))))
+    yield "empty-level", BratteliDiagram((1, 0, 1), (((),), ()))
+    yield "empty-last-level", BratteliDiagram((1, 2, 0), (((1, 1),), ((), ())))
+    yield "zero-width-rows", BratteliDiagram((1, 0, 0, 1), (((),), (), ()))
+    yield "two-roots", BratteliDiagram((2, 2), (((1, 0), (0, -1)),))
+    yield "no-root", BratteliDiagram((0, 1), ((),))
+    # Seeded matrices over -1..2 with zero rows and columns left in place.
+    for seed in range(12):
+        rng = random.Random("invalid-diagram:%d" % seed)
+        counts = [rng.choice((1, 1, 2))] + [rng.randint(0, 3) for _ in range(3)]
+        mats = [
+            [[rng.choice((-1, 0, 0, 0, 1, 2)) for _ in range(counts[n + 1])] for _ in range(counts[n])]
+            for n in range(3)
+        ]
+        yield "random-invalid-%d" % seed, BratteliDiagram(counts, mats)
+
+
+def _differential_diagrams():
+    for name in BUILTIN_NAMES:
+        yield name, builtin_diagram(name)
+    yield "mixed", MIXED
+    for seed in range(12):
+        yield "random-%d" % seed, random_diagram(seed)
+    yield from _invalid_diagrams()
+
+
+@pytest.mark.parametrize("name,d", list(_differential_diagrams()), ids=lambda x: x if isinstance(x, str) else "")
+def test_nonzero_index_matches_the_dense_loops(name, d):
+    assert d.validate() == dense_validate(d)
+    assert d._level_counts() == dense_level_counts(d)
+    for n in range(d.depth + 1):
+        # Both raise IndexError past a level 0 with no root to start from.
+        assert _outcome(d.terminals, n) == _outcome(dense_terminals, d, n)
+        assert [d.path_count(v) for v in d.vertices(n)] == list(dense_level_counts(d)[n])
+    for n, mat in enumerate(d.incidence):
+        for i, row in enumerate(mat):
+            edges = [Edge(n, i, j, k) for j, mult in enumerate(row) for k in range(mult)]
+            assert list(d.edges_from(Vertex(n, i))) == edges
+
+
+def test_invalid_diagrams_report_in_dense_order():
+    # Every invalid case reports something, and the messages come level by
+    # level as (c), (e), (f) runs, each in row-major order.
+    for name, d in _invalid_diagrams():
+        assert d.validate(), name
+    found = BratteliDiagram((1, 3, 2), (((1, -2, 1),), ((-1, 1), (0, 0), (2, -3)))).validate()
+    assert found == [
+        "(c) level=0 edge (0->1): negative multiplicity -2",
+        "(f) level=1 vertex=1: no incoming edge",
+        "(c) level=1 edge (0->0): negative multiplicity -1",
+        "(c) level=1 edge (2->1): negative multiplicity -3",
+        "(e) level=1 vertex=1: no outgoing edge",
+    ]
+
+
+def test_constructor_normalizes_entries_to_int():
+    d = BratteliDiagram((1, 2, 1), (((True, 2.0),), [[1], (False,)]))
+    assert d.incidence == (((1, 2),), ((1,), (0,)))
+    assert {type(x) for mat in d.incidence for row in mat for x in row} == {int}
+    assert all(type(row) is tuple for mat in d.incidence for row in mat)
+    # Rows that already are tuples of int are kept, not copied.
+    row = (1, 2)
+    assert BratteliDiagram((1, 2), ((row,),)).incidence[0][0] is row
+    assert BratteliDiagram((1, 2), ((("1", "2"),),)).incidence == (((1, 2),),)
+
+
+@pytest.mark.parametrize("bad", ["x", "", None, 1j, [1]])
+def test_constructor_raises_what_int_raises_on_a_bad_entry(bad):
+    try:
+        int(bad)
+    except (TypeError, ValueError) as exc:
+        expected = exc
+    with pytest.raises(type(expected)) as info:
+        BratteliDiagram((1, 2), (((1, bad),),))
+    assert str(info.value) == str(expected)
