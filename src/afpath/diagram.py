@@ -255,25 +255,15 @@ class BratteliDiagram:
             if c == 0:
                 found.append("(a) level=%d: level is empty" % n)
         for n, (mat, nonzero) in enumerate(zip(self.incidence, self._nonzero)):
-            negative, barren, fed = [], [], set()
-            for i, (row, cols) in enumerate(zip(mat, nonzero)):
-                emits = False
-                for j in cols:
-                    x = row[j]
-                    if x < 0:
-                        negative.append("(c) level=%d edge (%d->%d): negative multiplicity %d" % (n, i, j, x))
-                    else:
-                        emits = True
-                        fed.add(j)
-                if not emits:
-                    barren.append("(e) level=%d vertex=%d: no outgoing edge" % (n, i))
-            found += negative
-            found += barren
-            found.extend(
-                "(f) level=%d vertex=%d: no incoming edge" % (n + 1, j)
-                for j in range(self.vertex_counts[n + 1])
-                if j not in fed
-            )
+            entries = [(i, j, row[j]) for i, (row, cols) in enumerate(zip(mat, nonzero)) for j in cols]
+            found += ["(c) level=%d edge (%d->%d): negative multiplicity %d" % (n, i, j, x)
+                      for i, j, x in entries if x < 0]
+            emits = {i for i, _, x in entries if x > 0}
+            found += ["(e) level=%d vertex=%d: no outgoing edge" % (n, i)
+                      for i in range(len(mat)) if i not in emits]
+            fed = {j for _, j, x in entries if x > 0}
+            found += ["(f) level=%d vertex=%d: no incoming edge" % (n + 1, j)
+                      for j in range(self.vertex_counts[n + 1]) if j not in fed]
         return found
 
     # -- edges and paths ----------------------------------------------------
@@ -379,8 +369,7 @@ class BratteliDiagram:
         if not 0 <= n < self.depth:
             raise ValueError("level %d has no children (need 0 <= level < depth %d)" % (n, self.depth))
         def build():
-            rows = zip(self.incidence[n], self._nonzero[n])
-            degree = [sum(map(row.__getitem__, cols)) for row, cols in rows]
+            degree = [sum(row) for row in self.incidence[n]]
             return tuple(accumulate((degree[t] for t in self.terminals(n)), initial=0))
         return self.memo(("children", n), build)
 
