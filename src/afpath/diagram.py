@@ -303,10 +303,10 @@ class BratteliDiagram:
         """The memoized level-n tuple of ``kind``: ``root()`` builds level 0
         and ``step(k, prev)`` level k+1.  One loop resumes from the deepest
         level already built, so a deep diagram never recurses per level."""
-        try:
-            return self._memo[(kind, n)]
-        except KeyError:
-            self._check_level(n)
+        out = self._memo.get((kind, n))
+        if out is not None:
+            return out
+        self._check_level(n)
         k = n
         while k and (kind, k) not in self._memo:
             k -= 1

@@ -339,7 +339,7 @@ def _outcome(f, *args):
 
 
 def _invalid_diagrams():
-    yield "negative", BratteliDiagram((1, 3, 2), (((1, -2, 1),), ((-1, 1), (0, 0), (2, -3))))
+    yield "negative", BratteliDiagram((1, 3, 2), (((1, -2, 1),), ((1, -1), (0, 0), (-3, 2))))
     yield "zero-row", BratteliDiagram((1, 2, 2), (((1, 1),), ((0, 0), (1, 0))))
     yield "zero-column", BratteliDiagram((1, 2, 3), (((1, 1),), ((1, 0, 0), (2, 0, 1))))
     yield "empty-level", BratteliDiagram((1, 0, 1), (((),), ()))
@@ -386,12 +386,12 @@ def test_invalid_diagrams_report_in_dense_order():
     # level as (c), (e), (f) runs, each in row-major order.
     for name, d in _invalid_diagrams():
         assert d.validate(), name
-    found = BratteliDiagram((1, 3, 2), (((1, -2, 1),), ((-1, 1), (0, 0), (2, -3)))).validate()
+    found = BratteliDiagram((1, 3, 2), (((1, -2, 1),), ((1, -1), (0, 0), (-3, 2)))).validate()
     assert found == [
         "(c) level=0 edge (0->1): negative multiplicity -2",
         "(f) level=1 vertex=1: no incoming edge",
-        "(c) level=1 edge (0->0): negative multiplicity -1",
-        "(c) level=1 edge (2->1): negative multiplicity -3",
+        "(c) level=1 edge (0->1): negative multiplicity -1",
+        "(c) level=1 edge (2->0): negative multiplicity -3",
         "(e) level=1 vertex=1: no outgoing edge",
     ]
 
