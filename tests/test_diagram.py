@@ -367,8 +367,8 @@ def _differential_diagrams():
     yield from _invalid_diagrams()
 
 
-@pytest.mark.parametrize("name,d", list(_differential_diagrams()), ids=lambda x: x if isinstance(x, str) else "")
-def test_nonzero_index_matches_the_dense_loops(name, d):
+@pytest.mark.parametrize("d", [pytest.param(d, id=name) for name, d in _differential_diagrams()])
+def test_nonzero_index_matches_the_dense_loops(d):
     assert d.validate() == dense_validate(d)
     assert d._level_counts() == dense_level_counts(d)
     for n in range(d.depth + 1):
