@@ -20,6 +20,7 @@ Scalar computation, so reports do not change.
 """
 
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, lcm
 
 from .scalars import SCALAR_TYPES, Scalar, ZERO, as_scalar
@@ -129,24 +130,38 @@ def scale(c, f):
     return reduced(cd * den, *_times((cr, ci), res, ims))
 
 
-def class_sums(f, classes, mean=False):
-    """The sum of a form's entries over each class of indices, as a form.
+def class_means(classes):
+    """The scale ``(L, mults)`` that turns class sums into class means.
 
-    With ``mean`` each sum is divided by its class size.
+    L is the lcm of the class sizes and ``mults[c] = L // size_c``: the mean
+    of class c is ``sum_c / (den * size_c) = sum_c * mults[c] / (den * L)``.
+    Classes of one size share one multiplier object.
     """
-    den, res, ims = f
-    sums_re = [sum(map(res.__getitem__, cls)) for cls in classes]
-    sums_im = [sum(map(ims.__getitem__, cls)) for cls in classes]
-    if not mean:
-        return reduced(den, sums_re, sums_im)
-    # The mean of class c is sum_c / (den * size_c) = sum_c * (L / size_c) / (den * L).
     sizes = [len(cls) for cls in classes]
     big = lcm(*sizes)
-    return reduced(
-        den * big,
-        [x * (big // s) for x, s in zip(sums_re, sizes)],
-        [y * (big // s) for y, s in zip(sums_im, sizes)],
-    )
+    per_size = {s: big // s for s in set(sizes)}
+    return big, tuple(map(per_size.__getitem__, sizes))
+
+
+def class_sums(f, classes, scale=None):
+    """The sum of a form's entries over each class of indices, as a form.
+
+    With ``scale = (L, mults)`` (see ``class_means``) each sum is multiplied
+    by its class's multiplier in the same pass and the denominator by L.
+    One loop sums both parts of a class; it beats two ``sum(map(...))``
+    passes on the small classes the suites average over.
+    """
+    den, res, ims = f
+    big, mults = scale or (1, repeat(1))
+    sums_re, sums_im = [], []
+    for cls, k in zip(classes, mults):
+        re = im = 0
+        for g in cls:
+            re += res[g]
+            im += ims[g]
+        sums_re.append(re * k)
+        sums_im.append(im * k)
+    return reduced(den * big, sums_re, sums_im)
 
 
 # -- pair forms: row indexes ----------------------------------------------------------

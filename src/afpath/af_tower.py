@@ -220,9 +220,12 @@ def jones_projection(diagram, n, m=None):
             cols = list(gids)
             row = (cols, [den // len(gids)] * len(gids), [0] * len(gids))
             rows.update((a, row) for a in gids)
-        return AfElement._from_index(d, n, _exact.indexed(den, rows)).embed_to(m)
+        return AfElement._from_index(d, n, _exact.indexed(den, rows)).embed_to(m)._index
 
-    return d.memo(("jones_projection", n, m), build)
+    # The memo holds the row index only: an element would point back to the
+    # diagram through ``.diagram``, so a dead diagram would wait for the
+    # cyclic collector instead of being freed by reference counting.
+    return AfElement._from_index(d, m, d.memo(("jones_projection", n, m), build))
 
 
 def toeplitz_word(diagram, gamma, delta, m=None):

@@ -171,14 +171,10 @@ def constant(diagram, value):
 
 def indicator_path(diagram, path):
     """The indicator of all paths extending the given rooted path."""
-    return _indicator_id(diagram, len(path), diagram.path_id(path))
-
-
-def _indicator_id(diagram, level, gid):
-    """The indicator of the length-``level`` path with id ``gid``."""
-    bits = [0] * len(diagram.terminals(level))
+    gid = diagram.path_id(path)
+    bits = [0] * len(diagram.terminals(len(path)))
     bits[gid] = 1
-    return _indicator(diagram, level, bits)
+    return _indicator(diagram, len(path), bits)
 
 
 def indicator_vertex(diagram, v):

@@ -8,9 +8,10 @@ max(level(f), n).
 """
 
 from fractions import Fraction
+from math import lcm
 
-from ._exact import class_sums, reindex
-from .cylinder import CylinderFunction, _indicator_id, indicator_vertex
+from ._exact import class_means, class_sums, reduced, reindex
+from .cylinder import CylinderFunction, indicator_vertex
 
 
 def class_sum(f, n):
@@ -28,7 +29,10 @@ def _averaged(f, n, mean):
     d._check_level(n)
     m = max(f.level, n)
     classes, class_of = d.tail_classes(m, n)
-    sums = class_sums(f._exact_form(m), classes, mean)
+    # Each class is scaled to its mean in the summing pass; the per-class
+    # form is reduced before it is spread back over the paths.
+    scale = d.memo(("class_means", m, n), lambda: class_means(classes)) if mean else None
+    sums = class_sums(f._exact_form(m), classes, scale)
     return CylinderFunction._from_form(d, m, reindex(sums, class_of))
 
 
@@ -49,15 +53,35 @@ def quasi_basis_apply(f, n):
     Computes sum over length-n paths gamma of
     #r(gamma) * I_gamma * E_n(I_gamma * f); the quasi-basis property of the
     expectation says this returns f itself (refined to max(level(f), n)).
+
+    The term of gamma lives on the level-m extensions of gamma, the ids
+    ``range(a, b)`` of ``descendants(n, m)``.  So ``I_gamma * f`` is f's form
+    with every entry outside ``[a, b)`` zeroed, ``expect`` is called on it
+    once, and only the ``[a, b)`` slice of the mean is kept and scaled by
+    #r(gamma).  The slices lie side by side: they are placed over one
+    common denominator and reduced once, which is the same exact sum.
     """
     d = f.diagram
+    d._check_level(n)
+    m = max(f.level, n)
+    desc = d.descendants(n, m)
+    den, res, ims = f._exact_form(m)
+    size = len(res)
     sizes = [d.path_count(v) for v in d.vertices(n)]
-    result = None
+    parts = []
     for gid, t in enumerate(d.terminals(n)):
-        ind = _indicator_id(d, n, gid)
-        term = sizes[t] * (ind * expect(ind * f, n))
-        result = term if result is None else result + term
-    return result
+        a, b = desc[gid], desc[gid + 1]
+        zeros = [0] * a, [0] * (size - b)
+        term = (den, zeros[0] + res[a:b] + zeros[1], zeros[0] + ims[a:b] + zeros[1])
+        e_den, e_res, e_ims = expect(CylinderFunction._from_form(d, m, term), n)._exact_form()
+        parts.append((e_den, sizes[t], e_res[a:b], e_ims[a:b]))
+    common = lcm(*(e_den for e_den, _, _, _ in parts))
+    out_res, out_ims = [], []
+    for e_den, count, e_res, e_ims in parts:
+        k = count * (common // e_den)
+        out_res += [x * k for x in e_res]
+        out_ims += [y * k for y in e_ims]
+    return CylinderFunction._from_form(d, m, reduced(common, out_res, out_ims))
 
 
 def prefix_sum_check(f, n, m):

@@ -167,10 +167,9 @@ def diag(f):
 def jones_kernel(diagram, n):
     """The level-n averaging projection as a kernel: 1/#v on every
     same-terminal pair of length-n paths."""
-    d = diagram
-    d._check_level(n)
-    # The memoized projection and its image share one row index.
-    return d.memo(("jones_kernel", n), lambda: represent(jones_projection(d, n)))
+    diagram._check_level(n)
+    # The kernel wraps the projection's memoized row index.
+    return represent(jones_projection(diagram, n))
 
 
 def represent(x):

@@ -196,13 +196,23 @@ def _random_numerators(rng, count):
     Each entry has a numerator in [-9, 9] over a denominator in {1, 2, 3,
     4}, for each part in turn; choosing the factor 12/d in the place of d
     makes the same draw.
+
+    The draws go straight to ``rng.getrandbits``, rejecting out-of-range
+    values exactly as ``randint(-9, 9)`` (5 bits, below 19) and
+    ``choice(_FACTORS)`` (3 bits, below 4) do, so the numerators and the
+    generator's state after them are those of the public calls.
     """
-    randint, choice = rng.randint, rng.choice
-    res, ims = [], []
-    for _ in range(count):
-        res.append(randint(-9, 9) * choice(_FACTORS))
-        ims.append(randint(-9, 9) * choice(_FACTORS))
-    return res, ims
+    bits = rng.getrandbits
+    out = []
+    for _ in range(2 * count):
+        x = bits(5)
+        while x >= 19:
+            x = bits(5)
+        k = bits(3)
+        while k >= 4:
+            k = bits(3)
+        out.append((x - 9) * _FACTORS[k])
+    return out[0::2], out[1::2]
 
 
 def random_cylinder(diagram, level, rng):
@@ -250,22 +260,21 @@ def _suite_validation(ctx, chk, rng):
 
 def _brute_force_paths(d, n):
     # Independent oracle: walk the incidence matrices directly, bypassing
-    # the cached enumerations.
+    # the cached enumerations.  The depth-first walk keeps its own stack,
+    # pushing edges in reverse so they pop in (target, copy) order; a
+    # recursive closure would hold the diagram in a reference cycle.
     out = []
-    acc = []
-
-    def walk(level, idx):
+    stack = [((), 0)]
+    while stack:
+        edges, idx = stack.pop()
+        level = len(edges)
         if level == n:
-            out.append(tuple(acc))
-            return
+            out.append(edges)
+            continue
         row = d.incidence[level][idx]
-        for j in range(len(row)):
-            for k in range(row[j]):
-                acc.append(Edge(level, idx, j, k))
-                walk(level + 1, j)
-                acc.pop()
-
-    walk(0, 0)
+        for j in reversed(range(len(row))):
+            for k in reversed(range(row[j])):
+                stack.append((edges + (Edge(level, idx, j, k),), j))
     return out
 
 

@@ -22,6 +22,7 @@ from afpath import (
 from afpath import _exact
 from afpath._exact import (
     EMPTY,
+    class_means,
     class_sums,
     combine,
     equal,
@@ -279,7 +280,7 @@ def test_class_sums_match_naive(pair, rng):
         totals.append(total)
     assert_same_values(scalar_table(class_sums(form(f), classes)), totals)
     means = [Fraction(1, len(cls)) * t for cls, t in zip(classes, totals)]
-    got = class_sums(form(f), classes, mean=True)
+    got = class_sums(form(f), classes, class_means(classes))
     assert_reduced_form(got)
     assert_same_values(scalar_table(got), means)
 
@@ -451,7 +452,7 @@ def test_class_sums_of_cancelling_and_imaginary_entries():
     table = (Scalar(Fraction(1, 2), 1), Scalar(Fraction(-1, 2), -1), Scalar(0, Fraction(2, 3)), Scalar(Fraction(3, 4)))
     sums = scalar_table(class_sums(form(table), ((0, 1), (2, 3))))
     assert sums == (ZERO, Scalar(Fraction(3, 4), Fraction(2, 3)))
-    means = scalar_table(class_sums(form(table), ((0, 1), (2, 3)), mean=True))
+    means = scalar_table(class_sums(form(table), ((0, 1), (2, 3)), class_means(((0, 1), (2, 3)))))
     assert means == (ZERO, Scalar(Fraction(3, 8), Fraction(1, 3)))
     assert means[1].to_report() == "3/8+1/3*i"
 

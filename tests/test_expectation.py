@@ -21,7 +21,7 @@ from afpath import (
     random_cylinder,
     Vertex,
 )
-from test_extension_maps import MIXED
+from test_extension_maps import MIXED, path_id_diagrams
 
 
 def test_expect_of_edge_indicator_car(car):
@@ -89,6 +89,72 @@ def test_quasi_basis_reconstructs(builtins):
         for n in range(min(2, d.depth) + 1):
             f = random_cylinder(d, min(3, d.depth), rng)
             assert quasi_basis_apply(f, n) == f
+
+
+def _quasi_basis_by_formula(f, n):
+    """The literal sum over length-n paths gamma of
+    #r(gamma) * I_gamma * E_n(I_gamma * f), one full table per operation."""
+    d = f.diagram
+    result = None
+    for gamma in d.paths(n):
+        ind = indicator_path(d, gamma)
+        term = d.path_count(gamma.terminal()) * (ind * expect(ind * f, n))
+        result = term if result is None else result + term
+    return result
+
+
+@pytest.mark.parametrize("d", [pytest.param(d, id=name) for name, d in path_id_diagrams()])
+def test_quasi_basis_apply_matches_the_sum_formula(d):
+    rng = random.Random(61)
+    for level in range(d.depth + 1):
+        for n in range(d.depth + 1):
+            f = random_cylinder(d, level, rng)
+            got = quasi_basis_apply(f, n)
+            assert got.level == max(level, n)
+            assert got == _quasi_basis_by_formula(f, n)
+            assert got == f
+
+
+def test_quasi_basis_apply_calls_expect_once_per_path(pascal, monkeypatch):
+    true_expect = expectation.expect
+    calls = []
+
+    def counted(g, k):
+        calls.append(k)
+        return true_expect(g, k)
+
+    monkeypatch.setattr(expectation, "expect", counted)
+    f = random_cylinder(pascal, 2, random.Random(53))
+    for n in range(pascal.depth + 1):
+        calls.clear()
+        assert quasi_basis_apply(f, n) == f
+        assert calls == [n] * len(pascal.paths(n))
+
+
+def test_quasi_basis_check_fails_when_expect_is_off_at_one_path(pascal, monkeypatch):
+    # Each term keeps E_n(I_gamma f) on the extensions of gamma only, so a
+    # mean that is wrong at any one path p shows up in the term of the
+    # gamma whose range holds p.
+    rng = random.Random(59)
+    f = random_cylinder(pascal, 3, rng)
+    true_expect = expectation.expect
+    for n in (0, 1, 3):
+        desc = pascal.descendants(n, 3)
+        for gamma in range(len(pascal.paths(n))):
+            p = rng.randrange(desc[gamma], desc[gamma + 1])
+            bits = [0] * len(pascal.paths(3))
+            bits[p] = Scalar(0, 1)
+            wrong = CylinderFunction(pascal, 3, bits)
+            monkeypatch.setattr(expectation, "expect", lambda g, k: true_expect(g, k) + wrong)
+            assert quasi_basis_apply(f, n) != f
+            monkeypatch.setattr(expectation, "expect", true_expect)
+
+
+def test_quasi_basis_apply_rejects_levels_out_of_range(car):
+    f = constant(car, 1)
+    for n in (-1, car.depth + 1):
+        with pytest.raises(ValueError):
+            quasi_basis_apply(f, n)
 
 
 def test_expectation_laws_random(fibonacci):

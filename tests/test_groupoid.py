@@ -1,6 +1,8 @@
 """Kernels on tail-equivalent path pairs and their convolution algebra."""
 
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -23,6 +25,7 @@ from afpath import (
     random_cylinder,
     AfElement,
     FinitePath,
+    builtin_diagram,
 )
 
 
@@ -256,6 +259,23 @@ def test_jones_kernel_shares_the_projection_row_index(fibonacci):
         k = jones_kernel(fibonacci, n)
         assert k._index is p._index
         assert k.table == p.table
+
+
+def test_jones_memos_leave_a_dead_diagram_to_reference_counting():
+    # The memos hold row indexes, which do not point back to the diagram,
+    # so dropping its last reference frees it with the collector off.
+    gc.disable()
+    try:
+        d = builtin_diagram("pascal", 4)
+        for n in range(d.depth + 1):
+            assert jones_projection(d, n, d.depth).diagram is d
+            assert jones_kernel(d, n).diagram is d
+        assert vanishing_check(jones_kernel(d, 2) - jones_kernel(d, 2), 3) is True
+        ref = weakref.ref(d)
+        del d
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 # -- separating products ------------------------------------------------------------

@@ -1,6 +1,8 @@
 """The verification harness: configs, determinism, suite plumbing, reports."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -13,6 +15,8 @@ from afpath import (
     render_report,
 )
 from afpath.harness import (
+    _FACTORS,
+    _random_numerators,
     MAX_ENTRIES_VAR,
     DEFAULT_MAX_ENTRIES,
     estimate_max_table,
@@ -188,3 +192,30 @@ def test_different_seeds_change_samples():
     f = random_cylinder(d, 2, random.Random("7:expectation"))
     g = random_cylinder(d, 2, random.Random("8:expectation"))
     assert f.table != g.table
+
+
+@pytest.mark.parametrize("count", [0, 1, 7, 41])
+def test_random_numerators_make_the_draws_of_randint_and_choice(count):
+    for seed in range(50):
+        rng, public = random.Random(seed), random.Random(seed)
+        got = _random_numerators(rng, count)
+        want = ([], [])
+        for _ in range(count):
+            for part in want:
+                part.append(public.randint(-9, 9) * public.choice(_FACTORS))
+        assert got == want
+        assert rng.random() == public.random()
+
+
+def test_a_verified_diagram_is_freed_by_reference_counting():
+    gc.disable()
+    try:
+        d = builtin_diagram("pascal", 3)
+        results = run_suites(VerifyConfig("pascal", depth=3, samples=2), d)
+        assert [r.name for r in results] == list(SUITE_NAMES)
+        assert all(r.passed for r in results)
+        ref = weakref.ref(d)
+        del d
+        assert ref() is None
+    finally:
+        gc.enable()
