@@ -66,15 +66,14 @@ def quasi_basis_apply(f, n):
     m = max(f.level, n)
     desc = d.descendants(n, m)
     den, res, ims = f._exact_form(m)
-    size = len(res)
-    sizes = [d.path_count(v) for v in d.vertices(n)]
+    counts = [d.path_count(v) for v in d.vertices(n)]
     parts = []
     for gid, t in enumerate(d.terminals(n)):
         a, b = desc[gid], desc[gid + 1]
-        zeros = [0] * a, [0] * (size - b)
-        term = (den, zeros[0] + res[a:b] + zeros[1], zeros[0] + ims[a:b] + zeros[1])
+        head, tail = [0] * a, [0] * (len(res) - b)
+        term = (den, head + res[a:b] + tail, head + ims[a:b] + tail)
         e_den, e_res, e_ims = expect(CylinderFunction._from_form(d, m, term), n)._exact_form()
-        parts.append((e_den, sizes[t], e_res[a:b], e_ims[a:b]))
+        parts.append((e_den, counts[t], e_res[a:b], e_ims[a:b]))
     common = lcm(*(e_den for e_den, _, _, _ in parts))
     out_res, out_ims = [], []
     for e_den, count, e_res, e_ims in parts:
