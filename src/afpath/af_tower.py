@@ -276,7 +276,8 @@ def jones_refinement_check(diagram, n, m):
 
 def dimension_vector(diagram, n):
     """Block sizes at stage n and the total dimension sum of squares."""
-    sizes = tuple(diagram.path_count(v) for v in diagram.vertices(n))
+    diagram._check_level(n)
+    sizes = diagram._level_counts()[n]
     return sizes, sum(s * s for s in sizes)
 
 

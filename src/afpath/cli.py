@@ -132,10 +132,11 @@ def _cmd_counts(args):
     if args.level is None:
         levels = range(d.depth + 1)
     else:
-        # d.vertices rejects an out-of-range level before anything is printed.
+        # Reject an out-of-range level before anything is printed.
+        d._check_level(args.level)
         levels = (args.level,)
     for n in levels:
-        counts = [d.path_count(v) for v in d.vertices(n)]
+        counts = d._level_counts()[n]
         print(
             "level %d: vertices=%d counts=%s total=%d"
             % (n, len(counts), " ".join(str(c) for c in counts), sum(counts))
@@ -172,7 +173,7 @@ def _cmd_embed_matrix(args):
     print("# realized multiplicities, stage %d -> %d" % (n, n + 1))
     for row in rows:
         print(" ".join(str(x) for x in row))
-    match = rows == d.incidence[n]
+    match = rows == d._dense_level(n)
     print("match=%s" % ("yes" if match else "no"))
     return 0 if match else 1
 

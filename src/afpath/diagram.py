@@ -10,7 +10,8 @@ is what makes byte-level determinism possible downstream.
 """
 
 from dataclasses import dataclass
-from itertools import accumulate, compress
+from itertools import accumulate
+from operator import itemgetter
 
 
 class DepthExhaustedError(ValueError):
@@ -173,8 +174,21 @@ def _int_row(row):
     return tuple(map(int, row))
 
 
+def _dense_row(pairs, width):
+    """A row of ``(column, multiplicity)`` pairs written out with its zeros."""
+    row = [0] * width
+    for j, x in pairs:
+        row[j] = x
+    return tuple(row)
+
+
 class BratteliDiagram:
     """Vertex counts plus per-level multiplicity matrices, depth >= 1.
+
+    Each row is stored as the ``(column, multiplicity)`` pairs of its
+    nonzero entries, in column order; validation, counts, terminals and
+    edges loop over these, never over the zeros.  ``incidence`` is a dense
+    view of the same matrices, built on first read.
 
     Instances are immutable after construction (internal memo tables are
     filled lazily but never change a result).  Diagrams compare by identity;
@@ -201,16 +215,37 @@ class BratteliDiagram:
                     raise ValueError(
                         "incidence %d has a row of width %d, expected %d" % (n, len(row), counts[n + 1])
                     )
+        nonzero = itemgetter(1)
+        rows = tuple(tuple(tuple(filter(nonzero, enumerate(row))) for row in mat) for mat in matrices)
+        self._init(counts, rows, matrices)
+
+    @classmethod
+    def _from_rows(cls, vertex_counts, rows):
+        """A diagram from its rows of nonzero pairs, trusted as well formed."""
+        d = object.__new__(cls)
+        d._init(tuple(vertex_counts), tuple(rows), None)
+        return d
+
+    def _init(self, counts, rows, dense):
         self.vertex_counts = counts
-        self.incidence = matrices
-        self.depth = len(matrices)
-        # The columns of each row with a nonzero multiplicity: validation,
-        # counts, terminals and edges loop over these, never the zeros.
-        self._nonzero = tuple(
-            tuple(tuple(compress(range(width), row)) for row in mat)
-            for mat, width in zip(matrices, counts[1:])
-        )
+        self.depth = len(rows)
+        self._rows = rows
+        self._dense = dense
         self._memo = {}
+
+    @property
+    def incidence(self):
+        """The multiplicity matrices as tuples of dense row tuples (read only)."""
+        if self._dense is None:
+            self._dense = tuple(self._dense_level(n) for n in range(self.depth))
+        return self._dense
+
+    def _dense_level(self, n):
+        # One level's dense rows, without building the others.
+        if self._dense is not None:
+            return self._dense[n]
+        width = self.vertex_counts[n + 1]
+        return tuple(_dense_row(pairs, width) for pairs in self._rows[n])
 
     # -- structure ---------------------------------------------------------
 
@@ -254,13 +289,13 @@ class BratteliDiagram:
         for n, c in enumerate(self.vertex_counts):
             if c == 0:
                 found.append("(a) level=%d: level is empty" % n)
-        for n, (mat, nonzero) in enumerate(zip(self.incidence, self._nonzero)):
-            entries = [(i, j, row[j]) for i, (row, cols) in enumerate(zip(mat, nonzero)) for j in cols]
+        for n, level in enumerate(self._rows):
+            entries = [(i, j, x) for i, pairs in enumerate(level) for j, x in pairs]
             found += ["(c) level=%d edge (%d->%d): negative multiplicity %d" % (n, i, j, x)
                       for i, j, x in entries if x < 0]
             emits = {i for i, _, x in entries if x > 0}
             found += ["(e) level=%d vertex=%d: no outgoing edge" % (n, i)
-                      for i in range(len(mat)) if i not in emits]
+                      for i in range(len(level)) if i not in emits]
             fed = {j for _, j, x in entries if x > 0}
             found += ["(f) level=%d vertex=%d: no incoming edge" % (n + 1, j)
                       for j in range(self.vertex_counts[n + 1]) if j not in fed]
@@ -276,9 +311,8 @@ class BratteliDiagram:
                 "vertex %r sits at the truncation depth %d; no edges stored beyond it" % (v, self.depth)
             )
         def build():
-            row = self.incidence[v.level][v.index]
-            cols = self._nonzero[v.level][v.index]
-            return tuple(Edge(v.level, v.index, j, k) for j in cols for k in range(row[j]))
+            pairs = self._rows[v.level][v.index]
+            return tuple(Edge(v.level, v.index, j, k) for j, x in pairs for k in range(x))
         return self.memo(("edges_from", v.level, v.index), build)
 
     def path_count(self, v):
@@ -290,11 +324,11 @@ class BratteliDiagram:
         # One loop down the diagram, so a deep diagram never recurses per level.
         def build():
             levels = [(1,) * self.vertex_counts[0]]
-            for mat, nonzero, width in zip(self.incidence, self._nonzero, self.vertex_counts[1:]):
+            for level, width in zip(self._rows, self.vertex_counts[1:]):
                 out = [0] * width
-                for c, row, cols in zip(levels[-1], mat, nonzero):
-                    for j in cols:
-                        out[j] += c * row[j]
+                for c, pairs in zip(levels[-1], level):
+                    for j, x in pairs:
+                        out[j] += c * x
                 levels.append(tuple(out))
             return tuple(levels)
         return self.memo(("counts",), build)
@@ -328,10 +362,7 @@ class BratteliDiagram:
         path into vertex t end at each j, ``incidence[k][t][j]`` times in a row.
         """
         def step(k, prev):
-            targets = [
-                [j for j in cols for _ in range(row[j])]
-                for row, cols in zip(self.incidence[k], self._nonzero[k])
-            ]
+            targets = [[j for j, x in pairs for _ in range(x)] for pairs in self._rows[k]]
             return tuple(j for t in prev for j in targets[t])
         return self._upward("terminals", n, lambda: (0,), step)
 
@@ -369,7 +400,7 @@ class BratteliDiagram:
         if not 0 <= n < self.depth:
             raise ValueError("level %d has no children (need 0 <= level < depth %d)" % (n, self.depth))
         def build():
-            degree = [sum(row) for row in self.incidence[n]]
+            degree = [sum(x for _, x in pairs) for pairs in self._rows[n]]
             return tuple(accumulate((degree[t] for t in self.terminals(n)), initial=0))
         return self.memo(("children", n), build)
 
@@ -479,25 +510,16 @@ def builtin_diagram(name, depth=None):
     if depth < 1:
         raise ValueError("depth must be >= 1")
     if key == "car":
-        return BratteliDiagram([1] * (depth + 1), [((2,),)] * depth)
+        return BratteliDiagram._from_rows([1] * (depth + 1), [(((0, 2),),)] * depth)
     if key == "uhf3":
-        return BratteliDiagram([1] * (depth + 1), [((3,),)] * depth)
+        return BratteliDiagram._from_rows([1] * (depth + 1), [(((0, 3),),)] * depth)
     if key == "pascal":
-        counts = [n + 1 for n in range(depth + 1)]
-        mats = []
-        for n in range(depth):
-            mat = []
-            for k in range(n + 1):
-                row = [0] * (n + 2)
-                row[k] = 1
-                row[k + 1] = 1
-                mat.append(tuple(row))
-            mats.append(tuple(mat))
-        return BratteliDiagram(counts, mats)
+        # Row k is the same at every level from k on, so the levels share it.
+        rows = tuple(((k, 1), (k + 1, 1)) for k in range(depth))
+        return BratteliDiagram._from_rows(range(1, depth + 2), (rows[: n + 1] for n in range(depth)))
     if key == "fibonacci":
-        counts = [1] + [2] * depth
-        mats = [((1, 1),)] + [((1, 1), (1, 0))] * (depth - 1)
-        return BratteliDiagram(counts, mats)
+        rows = (((0, 1), (1, 1)), ((0, 1),))
+        return BratteliDiagram._from_rows([1] + [2] * depth, [rows[:1]] + [rows] * (depth - 1))
     raise AssertionError("unreachable")
 
 

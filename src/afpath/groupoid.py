@@ -103,6 +103,9 @@ class GroupoidFunction(_exact.PairTable):
             raise ValueError(
                 "need support <= table <= depth, got %d, %d" % (support_level, table_level)
             )
+        if table_level == self.table_level:
+            # A coarser support keeps every pair admissible at the same ids.
+            return GroupoidFunction._from_index(d, support_level, table_level, self._index)
         # An admissible pair ends at one vertex, so its t-th extensions
         # follow the same segment and stay admissible.
         return GroupoidFunction._from_index(

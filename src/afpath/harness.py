@@ -142,7 +142,7 @@ def truncate_diagram(d, depth):
         return d
     if not 1 <= depth < d.depth:
         raise ValueError("cannot truncate depth-%d diagram to %d" % (d.depth, depth))
-    return BratteliDiagram(d.vertex_counts[: depth + 1], d.incidence[:depth])
+    return BratteliDiagram._from_rows(d.vertex_counts[: depth + 1], d._rows[:depth])
 
 
 def resolve_diagram(config):
@@ -251,8 +251,8 @@ def random_groupoid_function(diagram, support_level, table_level, rng):
 def _suite_validation(ctx, chk, rng):
     d = ctx.diagram
     instances = 1 + len(d.vertex_counts)
-    for n, mat in enumerate(d.incidence):
-        instances += len(mat) + d.vertex_counts[n + 1] + sum(len(row) for row in mat)
+    for above, below in zip(d.vertex_counts, d.vertex_counts[1:]):
+        instances += above + below + above * below
     chk.add(instances - 1)
     violations = d.validate()
     chk.ok(not violations, lambda: ";".join(v.replace(" ", "_") for v in violations))
@@ -263,6 +263,7 @@ def _brute_force_paths(d, n):
     # the cached enumerations.  The depth-first walk keeps its own stack,
     # pushing edges in reverse so they pop in (target, copy) order; a
     # recursive closure would hold the diagram in a reference cycle.
+    incidence = d.incidence
     out = []
     stack = [((), 0)]
     while stack:
@@ -271,7 +272,7 @@ def _brute_force_paths(d, n):
         if level == n:
             out.append(edges)
             continue
-        row = d.incidence[level][idx]
+        row = incidence[level][idx]
         for j in reversed(range(len(row))):
             for k in reversed(range(row[j])):
                 stack.append((edges + (Edge(level, idx, j, k),), j))

@@ -1,5 +1,7 @@
 """End-to-end behavior of the command-line front end (in-process)."""
 
+import math
+
 import pytest
 
 from afpath.cli import main
@@ -129,6 +131,37 @@ def test_embed_matrix_deep_chain_does_not_recurse(tmp_path, capsys):
     )
     assert main(["embed-matrix", str(p), "--level", "399"]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "match=yes"
+
+
+def test_deep_counts_dims_validate_build_no_dense_row(monkeypatch, capsys):
+    from afpath import diagram
+
+    def refuse(pairs, width):
+        raise AssertionError("dense row built")
+
+    monkeypatch.setattr(diagram, "_dense_row", refuse)
+    for command in ("validate", "counts", "dims"):
+        assert main([command, "pascal", "--depth", "300"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "valid: depth=300 vertices=%s" % " ".join(str(c) for c in range(1, 302))
+    assert out[301].endswith(" total=%d" % 2**300)
+    assert out[-1].endswith(" dimension=%d" % math.comb(600, 300))
+
+
+def test_embed_matrix_reads_one_dense_level(monkeypatch, capsys):
+    from afpath.diagram import BratteliDiagram
+
+    levels = []
+    dense_level = BratteliDiagram._dense_level
+
+    def record(d, n):
+        levels.append(n)
+        return dense_level(d, n)
+
+    monkeypatch.setattr(BratteliDiagram, "_dense_level", record)
+    assert main(["embed-matrix", "pascal", "--depth", "300", "--level", "5"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "match=yes"
+    assert levels == [5]
 
 
 def test_embed_matrix_level_bounds(capsys):

@@ -288,10 +288,10 @@ def test_truncated_builtin_matches_prefix():
     assert small.incidence == full.incidence[:3]
 
 
-# -- nonzero-row index against the dense per-entry loops ------------------------
+# -- nonzero pairs against the dense per-entry loops ------------------------------
 #
-# The three oracles below are the dense loops the nonzero-column index
-# replaced, kept verbatim: every entry of every row is visited.
+# The oracles below are the dense loops the rows of nonzero pairs replaced,
+# kept verbatim: every entry of every row is visited.
 
 
 def dense_validate(d):
@@ -329,6 +329,31 @@ def dense_terminals(d, n):
         targets = [[j for j, mult in enumerate(row) for _ in range(mult)] for row in d.incidence[k]]
         level = tuple(j for t in level for j in targets[t])
     return level
+
+
+def dense_builtin(name, depth):
+    """A built-in as the public constructor builds it from dense matrices."""
+    if name == "car":
+        return BratteliDiagram([1] * (depth + 1), [((2,),)] * depth)
+    if name == "uhf3":
+        return BratteliDiagram([1] * (depth + 1), [((3,),)] * depth)
+    if name == "pascal":
+        counts = [n + 1 for n in range(depth + 1)]
+        mats = []
+        for n in range(depth):
+            mat = []
+            for k in range(n + 1):
+                row = [0] * (n + 2)
+                row[k] = 1
+                row[k + 1] = 1
+                mat.append(tuple(row))
+            mats.append(tuple(mat))
+        return BratteliDiagram(counts, mats)
+    if name == "fibonacci":
+        counts = [1] + [2] * depth
+        mats = [((1, 1),)] + [((1, 1), (1, 0))] * (depth - 1)
+        return BratteliDiagram(counts, mats)
+    raise AssertionError(name)
 
 
 def _outcome(f, *args):
@@ -379,6 +404,45 @@ def test_nonzero_index_matches_the_dense_loops(d):
         for i, row in enumerate(mat):
             edges = [Edge(n, i, j, k) for j, mult in enumerate(row) for k in range(mult)]
             assert list(d.edges_from(Vertex(n, i))) == edges
+
+
+def _assert_same_diagram(d, oracle):
+    assert d.vertex_counts == oracle.vertex_counts
+    assert d.incidence == oracle.incidence
+    assert d.incidence is d.incidence
+    assert serialize_diagram(d) == serialize_diagram(oracle)
+    assert d.validate() == oracle.validate() == dense_validate(oracle)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_builtin_rows_match_the_dense_builder(name):
+    for depth in range(1, 11):
+        d = builtin_diagram(name, depth)
+        assert d._dense is None  # the dense view waits for its first read
+        _assert_same_diagram(d, dense_builtin(name, depth))
+
+
+@pytest.mark.parametrize("d", [pytest.param(d, id=name) for name, d in _differential_diagrams()])
+def test_lazy_dense_view_matches_the_given_rows(d):
+    # The same rows of pairs without the seeded view: the view built from
+    # the pairs equals the rows the public constructor was given.
+    _assert_same_diagram(BratteliDiagram._from_rows(d.vertex_counts, d._rows), d)
+
+
+def test_deep_pascal_builds_no_dense_row(monkeypatch):
+    from afpath import diagram
+    from afpath.af_tower import dimension_vector
+
+    def refuse(pairs, width):
+        raise AssertionError("dense row built")
+
+    monkeypatch.setattr(diagram, "_dense_row", refuse)
+    d = builtin_diagram("pascal", 300)
+    assert d.validate() == []
+    assert d._level_counts()[300][150] == math.comb(300, 150)
+    assert dimension_vector(d, 300)[1] == math.comb(600, 300)
+    with pytest.raises(AssertionError):
+        d.incidence
 
 
 def test_invalid_diagrams_report_in_dense_order():

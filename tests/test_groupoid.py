@@ -27,6 +27,8 @@ from afpath import (
     FinitePath,
     builtin_diagram,
 )
+from afpath import _exact
+from test_extension_maps import MIXED
 
 
 def random_kernel(d, support, table, rng):
@@ -86,6 +88,21 @@ def test_value_needs_paths_at_the_table_level(car):
     with pytest.raises(ValueError):
         jk.value(car.paths(3)[0], car.paths(3)[1])
     assert jk.value(car.paths(2)[0], car.paths(2)[3]) == Scalar(Fraction(1, 4))
+
+
+def test_support_only_widen_equals_the_extended_index(builtins):
+    # At an unchanged table level the descendants map is the identity, so
+    # widening the support alone must give exactly what extend_index gives.
+    rng = random.Random(11)
+    for d in list(builtins.values()) + [MIXED]:
+        for m in range(d.depth + 1):
+            for s0 in range(m + 1):
+                for f in (jones_kernel(d, s0).widen(s0, m), random_kernel(d, s0, m, rng)):
+                    expected = _exact.extend_index(f._index, d.descendants(m, m))
+                    for s in range(s0, m + 1):
+                        wide = f.widen(s, m)
+                        assert (wide.support_level, wide.table_level) == (s, m)
+                        assert wide._index == expected
 
 
 def test_widen_rejects_narrowing(car):
