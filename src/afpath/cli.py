@@ -15,10 +15,12 @@ Exit status: 0 on success/PASS, 1 on a failed check or invalid diagram,
 """
 
 import argparse
+import functools
+import itertools
 import sys
 
 from .diagram import BUILTIN_NAMES, DiagramParseError
-from .af_tower import dimension_vector, embed_multiplicities
+from .af_tower import embed_multiplicities
 from .harness import SUITE_NAMES, VerifyConfig, render_report, resolve_diagram, run_suites
 
 
@@ -129,14 +131,13 @@ def _cmd_counts(args):
     bad = _reject_invalid(d)
     if bad:
         return bad
-    if args.level is None:
-        levels = range(d.depth + 1)
-    else:
+    # Read level by level, so a deep diagram never holds every level's counts.
+    levels = enumerate(d._count_levels())
+    if args.level is not None:
         # Reject an out-of-range level before anything is printed.
         d._check_level(args.level)
-        levels = (args.level,)
-    for n in levels:
-        counts = d._level_counts()[n]
+        levels = itertools.islice(levels, args.level, args.level + 1)
+    for n, counts in levels:
         print(
             "level %d: vertices=%d counts=%s total=%d"
             % (n, len(counts), " ".join(str(c) for c in counts), sum(counts))
@@ -152,11 +153,10 @@ def _cmd_dims(args):
     top = d.depth if args.max_level is None else args.max_level
     if not 0 <= top <= d.depth:
         raise ValueError("max level %d out of range 0..%d" % (top, d.depth))
-    for n in range(top + 1):
-        sizes, total = dimension_vector(d, n)
+    for n, sizes in zip(range(top + 1), d._count_levels()):
         print(
             "level %d: blocks=%s dimension=%d"
-            % (n, " ".join(str(s) for s in sizes), total)
+            % (n, " ".join(str(s) for s in sizes), sum(s * s for s in sizes))
         )
     return 0
 
@@ -202,8 +202,13 @@ _COMMANDS = {
 }
 
 
+# One parser for every call: a parser is a reference cycle, so building one
+# per call would leave it to the cyclic collector.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (DiagramParseError, OSError, ValueError) as exc:

@@ -320,18 +320,24 @@ class BratteliDiagram:
         self._check_vertex(v)
         return self._level_counts()[v.level][v.index]
 
+    def _count_levels(self):
+        """Each level's tuple of per-vertex path counts, from the root down.
+
+        One loop down the diagram, so a deep diagram never recurses per
+        level; a caller that reads one level at a time holds only that one.
+        """
+        counts = (1,) * self.vertex_counts[0]
+        yield counts
+        for level, width in zip(self._rows, self.vertex_counts[1:]):
+            out = [0] * width
+            for c, pairs in zip(counts, level):
+                for j, x in pairs:
+                    out[j] += c * x
+            counts = tuple(out)
+            yield counts
+
     def _level_counts(self):
-        # One loop down the diagram, so a deep diagram never recurses per level.
-        def build():
-            levels = [(1,) * self.vertex_counts[0]]
-            for level, width in zip(self._rows, self.vertex_counts[1:]):
-                out = [0] * width
-                for c, pairs in zip(levels[-1], level):
-                    for j, x in pairs:
-                        out[j] += c * x
-                levels.append(tuple(out))
-            return tuple(levels)
-        return self.memo(("counts",), build)
+        return self.memo(("counts",), lambda: tuple(self._count_levels()))
 
     def _upward(self, kind, n, root, step):
         """The memoized level-n tuple of ``kind``: ``root()`` builds level 0

@@ -7,10 +7,10 @@ tower, and the convolution model.  Every suite draws from its own RNG
 stream derived from (seed, suite name), so a report is a pure function of
 the configuration -- byte-identical across runs and platforms.
 
-Table sizes implied by the configuration are estimated up front and checked
-against the AF_TAIL_MAX_ENTRIES environment variable (default 100000);
-breaching the cap is reported as a resource failure rather than silently
-truncating the run.
+The levels the suites read are named once, by UNIT_LEVEL and PATH_LEVEL.
+The largest table that plan builds is estimated up front and checked against
+AF_TAIL_MAX_ENTRIES (default 100000); a breach is reported as a resource
+failure rather than silently truncating the run.
 """
 
 import math
@@ -69,6 +69,11 @@ DEFAULT_MAX_ENTRIES = 100000
 
 # 12/d for the entry denominators d = 1, 2, 3, 4, in that order.
 _FACTORS = (12, 6, 4, 3)
+
+# Matrix units, random block elements and kernel supports go up to level
+# UNIT_LEVEL, pair tables one level deeper; the path walks to PATH_LEVEL.
+UNIT_LEVEL = 3
+PATH_LEVEL = 5
 
 
 @dataclass(frozen=True)
@@ -131,6 +136,9 @@ class _Context:
         self.config = config
         self.samples = config.samples
         self.builtin = builtin_name(config.source)
+        self.top = min(UNIT_LEVEL, diagram.depth)
+        self.deep = min(UNIT_LEVEL + 1, diagram.depth)
+        self.heavy = max(1, config.samples // 4)
 
 
 # -- configuration plumbing ----------------------------------------------------
@@ -173,18 +181,14 @@ def max_entries_cap():
 def estimate_max_table(d):
     """Largest table any suite would materialize at this depth.
 
-    Block-matrix stages need sum over v of #v^2 entries at each level; the
-    widest convolution kernels are the averaging kernels, which never exceed
-    the same count at the table level.  Path tables are linear and always
-    smaller for a valid diagram.
+    A block-matrix stage n has the sum over v of #v^2 entries, and no
+    convolution kernel at table level n has more.  The suites build such pair
+    tables down to level UNIT_LEVEL + 1 only; deeper, every table they build
+    has at most one entry per path.
     """
-    worst = 0
-    total_paths = 0
-    for n in range(d.depth + 1):
-        counts = [d.path_count(v) for v in d.vertices(n)]
-        worst = max(worst, sum(c * c for c in counts))
-        total_paths = max(total_paths, sum(counts))
-    return max(worst, total_paths)
+    counts = d._level_counts()
+    blocks = max(sum(c * c for c in row) for row in counts[: UNIT_LEVEL + 2])
+    return max(blocks, max(map(sum, counts)))
 
 
 # -- seeded random elements ------------------------------------------------------
@@ -282,7 +286,7 @@ def _brute_force_paths(d, n):
 def _suite_combinatorics(ctx, chk, rng):
     d = ctx.diagram
     root = Vertex(0, 0)
-    for n in range(min(5, d.depth) + 1):
+    for n in range(min(PATH_LEVEL, d.depth) + 1):
         brute = _brute_force_paths(d, n)
         lib = d.paths(n)
         chk.ok(len(lib) == len(brute), "path-total;level=%d" % n)
@@ -306,7 +310,7 @@ def _suite_combinatorics(ctx, chk, rng):
                 lambda v=v: "segments;vertex=(%d,%d)" % (v.level, v.index),
             )
     if ctx.builtin == "pascal":
-        for n in range(min(6, d.depth) + 1):
+        for n in range(min(PATH_LEVEL + 1, d.depth) + 1):
             sizes, total = dimension_vector(d, n)
             chk.ok(
                 sizes == tuple(math.comb(n, k) for k in range(n + 1)),
@@ -317,12 +321,11 @@ def _suite_combinatorics(ctx, chk, rng):
 
 def _suite_cylinder(ctx, chk, rng):
     d = ctx.diagram
-    top = min(3, d.depth)
     one = constant(d, 1)
     for s in range(ctx.samples):
-        f = random_cylinder(d, rng.randint(0, top), rng)
-        g = random_cylinder(d, rng.randint(0, top), rng)
-        h = random_cylinder(d, rng.randint(0, top), rng)
+        f = random_cylinder(d, rng.randint(0, ctx.top), rng)
+        g = random_cylinder(d, rng.randint(0, ctx.top), rng)
+        h = random_cylinder(d, rng.randint(0, ctx.top), rng)
         tag = "sample=%d" % s
         chk.ok((f + g) * h == f * h + g * h, "distributive;" + tag)
         chk.ok(f * g == g * f, "commutative;" + tag)
@@ -334,7 +337,7 @@ def _suite_cylinder(ctx, chk, rng):
         chk.ok((f * g).refine(m2) == f.refine(m2) * g.refine(m2), "refine-mul;" + tag)
         chk.ok((f + g).refine(m2) == f.refine(m2) + g.refine(m2), "refine-add;" + tag)
         chk.ok(f.sup_norm_sq() == f.refine(m2).sup_norm_sq(), "refine-norm;" + tag)
-    for n in range(top + 1):
+    for n in range(ctx.top + 1):
         total = None
         for p in d.paths(n):
             ind = indicator_path(d, p)
@@ -360,7 +363,7 @@ def _suite_cylinder(ctx, chk, rng):
                     lambda p=p, v=v: "path-vertex-product;path=%s;vertex=(%d,%d)"
                     % (format_path(p), v.level, v.index),
                 )
-    for n in range(1, top + 1):
+    for n in range(1, ctx.top + 1):
         for p in d.paths(n):
             last = p.edges[-1]
             chk.ok(
@@ -369,7 +372,7 @@ def _suite_cylinder(ctx, chk, rng):
                 lambda p=p: "edge-factorization;path=%s" % format_path(p),
             )
     for s in range(ctx.samples):
-        f = random_cylinder(d, rng.randint(0, top), rng)
+        f = random_cylinder(d, rng.randint(0, ctx.top), rng)
         m = rng.randint(f.level, d.depth)
         p = rng.choice(d.paths(m))
         chk.ok(
@@ -380,8 +383,7 @@ def _suite_cylinder(ctx, chk, rng):
 
 def _suite_expectation(ctx, chk, rng):
     d = ctx.diagram
-    n_max = min(3, d.depth)
-    m_max = min(4, d.depth)
+    n_max, m_max = ctx.top, ctx.deep
     one = constant(d, 1)
     for n in range(n_max + 1):
         chk.ok(expect(one, n) == one, "unital;n=%d" % n)
@@ -391,20 +393,20 @@ def _suite_expectation(ctx, chk, rng):
                 sizes[gid] == d.path_count(p.vertex_at(n)),
                 lambda p=p, n=n: "class-size;n=%d;path=%s" % (n, format_path(p)),
             )
-    for n in range(min(4, d.depth) + 1):
+    for n in range(m_max + 1):
         for gamma in d.paths(n):
             chk.ok(
                 expect(indicator_path(d, gamma), n) == expect_indicator(d, gamma),
                 lambda gamma=gamma: "indicator-lemma;path=%s" % format_path(gamma),
             )
-    for n in range(1, min(4, d.depth) + 1):
+    for n in range(1, m_max + 1):
         for gamma in d.paths(n):
             stem, last = gamma.prefix(n - 1), gamma.edges[-1]
             lhs = expect(indicator_path(d, stem) * indicator_edge(d, last), n - 1)
             rhs = Fraction(1, d.path_count(stem.terminal())) * indicator_edge(d, last)
             chk.ok(lhs == rhs, lambda gamma=gamma: "edge-lemma;path=%s" % format_path(gamma))
     for n in range(n_max + 1):
-        K = max(d.path_count(v) for v in d.vertices(n))
+        K = max(d._level_counts()[n])
         for m in range(m_max + 1):
             for s in range(ctx.samples):
                 tag = "n=%d;m=%d;sample=%d" % (n, m, s)
@@ -481,7 +483,7 @@ def _unit_pairs(units, ctx, rng):
 
 def _suite_matrix_units(ctx, chk, rng):
     d = ctx.diagram
-    for n in range(min(3, d.depth) + 1):
+    for n in range(ctx.top + 1):
         paths = d.paths(n)
         units = _units_at(d, n)
         unit_map = {(a, b): u for a, b, u in units}
@@ -511,7 +513,7 @@ def _suite_matrix_units(ctx, chk, rng):
                 )
         if n < d.depth:
             m2 = n + 1
-            for a, b, u in units[: min(len(units), 6)]:
+            for a, b, u in units[:6]:
                 chk.ok(
                     toeplitz_word(d, paths[a], paths[b], m2) == u.embed_to(m2),
                     lambda a=a, b=b: "word-embedded;n=%d;pair=%s" % (n, _pair(paths, a, b)),
@@ -520,9 +522,8 @@ def _suite_matrix_units(ctx, chk, rng):
 
 def _suite_tower(ctx, chk, rng):
     d = ctx.diagram
-    m_max = min(4, d.depth)
-    heavy = max(1, ctx.samples // 4)
-    for n in range(min(4, d.depth - 1) + 1):
+    m_max, heavy = ctx.deep, ctx.heavy
+    for n in range(min(ctx.deep + 1, d.depth)):
         chk.ok(
             AfElement.identity(d, n).embed() == AfElement.identity(d, n + 1),
             "embed-unital;n=%d" % n,
@@ -532,10 +533,10 @@ def _suite_tower(ctx, chk, rng):
             embed_multiplicities(d, n) == d.incidence[n],
             "realized-multiplicity;n=%d" % n,
         )
-    for n in range(min(3, d.depth - 1) + 1):
+    for n in range(min(ctx.top + 1, d.depth)):
         # one dense product at level n+1 costs about (sum of block sizes
         # squared) x (max block size) x (max out-degree) multiplications
-        sizes = [d.path_count(v) for v in d.vertices(n)]
+        sizes = d._level_counts()[n]
         outdeg = max(len(d.edges_from(v)) for v in d.vertices(n))
         cost = sum(s * s for s in sizes) * max(sizes) * outdeg
         count = heavy if cost <= 30000 else max(2, heavy // 3)
@@ -559,7 +560,7 @@ def _suite_tower(ctx, chk, rng):
         )
         for n in range(m + 1):
             e_n = jones_projection(d, n, m)
-            pcost = e_n.nnz() * max(d.path_count(v) for v in d.vertices(n))
+            pcost = e_n.nnz() * max(d._level_counts()[n])
             if pcost <= 250000:
                 chk.ok(e_n * e_n == e_n, "projection-idempotent;n=%d;m=%d" % (n, m))
             chk.ok(e_n.adjoint() == e_n, "projection-selfadjoint;n=%d;m=%d" % (n, m))
@@ -572,7 +573,7 @@ def _suite_tower(ctx, chk, rng):
             e_n = jones_projection(d, n, m)
             # one sandwich costs about nnz(e_n) x class size multiplications;
             # scale the sample count down as that grows
-            cost = e_n.nnz() * max(d.path_count(v) for v in d.vertices(n))
+            cost = e_n.nnz() * max(d._level_counts()[n])
             if cost <= 10000:
                 count = ctx.samples
             elif cost <= 200000:
@@ -592,16 +593,15 @@ def _suite_tower(ctx, chk, rng):
 
 def _suite_groupoid(ctx, chk, rng):
     d = ctx.diagram
-    n_max = min(3, d.depth)
-    heavy = max(1, ctx.samples // 4)
+    n_max, heavy = ctx.top, ctx.heavy
     one = unit_kernel(d)
     for s in range(heavy):
         tag = "sample=%d" % s
-        n1 = rng.randint(0, min(2, d.depth))
-        m1 = rng.randint(n1, min(3, d.depth))
+        n1 = rng.randint(0, min(ctx.top, UNIT_LEVEL - 1))
+        m1 = rng.randint(n1, ctx.top)
         F = random_groupoid_function(d, n1, m1, rng)
-        G = random_groupoid_function(d, rng.randint(0, min(2, m1)), m1, rng)
-        H = random_groupoid_function(d, n1, rng.randint(n1, min(3, d.depth)), rng)
+        G = random_groupoid_function(d, rng.randint(0, min(UNIT_LEVEL - 1, m1)), m1, rng)
+        H = random_groupoid_function(d, n1, rng.randint(n1, ctx.top), rng)
         chk.ok(convolve(convolve(F, G), H) == convolve(F, convolve(G, H)), "associative;" + tag)
         chk.ok(convolve(F, G).adjoint() == convolve(G.adjoint(), F.adjoint()), "anti-hom;" + tag)
         chk.ok(F.adjoint().adjoint() == F, "involutive;" + tag)
@@ -615,7 +615,7 @@ def _suite_groupoid(ctx, chk, rng):
         jk = jones_kernel(d, n)
         chk.ok(convolve(jk, jk) == jk, "kernel-idempotent;n=%d" % n)
         chk.ok(jk.adjoint() == jk, "kernel-selfadjoint;n=%d" % n)
-        if n + 1 <= min(4, d.depth):
+        if n + 1 <= ctx.deep:
             jk2 = jones_kernel(d, n + 1)
             chk.ok(convolve(jk, jk2) == jk2, "kernel-ladder-left;n=%d" % n)
             chk.ok(convolve(jk2, jk) == jk2, "kernel-ladder-right;n=%d" % n)
@@ -623,7 +623,7 @@ def _suite_groupoid(ctx, chk, rng):
         jk = jones_kernel(d, n)
         for s in range(heavy):
             tag = "n=%d;sample=%d" % (n, s)
-            m = rng.randint(n, min(4, d.depth))
+            m = rng.randint(n, ctx.deep)
             f = random_cylinder(d, m, rng)
             g = random_cylinder(d, m, rng)
             chk.ok(
@@ -668,7 +668,7 @@ def _suite_groupoid(ctx, chk, rng):
                 lambda a=a, b=b, c=c, e=e: "represent-multiplicative;n=%d;pairs=%s*%s"
                 % (n, _pair(paths, a, b), _pair(paths, c, e)),
             )
-        if n < min(3, d.depth):
+        if n < ctx.top:
             for a, b, u in units:
                 chk.ok(
                     represent(u.embed()) == psi_map[(a, b)].widen(n + 1, n + 1),
@@ -677,7 +677,7 @@ def _suite_groupoid(ctx, chk, rng):
     n = n_max
     paths = d.paths(n)
     chk.ok(
-        vanishing_check(GroupoidFunction.zero(d, n, n), min(n + 1, d.depth)) is True,
+        vanishing_check(GroupoidFunction.zero(d, n, n), ctx.deep) is True,
         "vanishing-zero;n=%d" % n,
     )
     for a, b, u in _units_at(d, n):

@@ -1,5 +1,6 @@
 """End-to-end behavior of the command-line front end (in-process)."""
 
+import gc
 import math
 
 import pytest
@@ -148,6 +149,41 @@ def test_deep_counts_dims_validate_build_no_dense_row(monkeypatch, capsys):
     assert out[-1].endswith(" dimension=%d" % math.comb(600, 300))
 
 
+def test_counts_dims_keep_no_level_counts(monkeypatch, capsys):
+    from afpath.diagram import BratteliDiagram
+
+    def refuse(d):
+        raise AssertionError("every level's counts kept")
+
+    monkeypatch.setattr(BratteliDiagram, "_level_counts", refuse)
+    assert main(["counts", "pascal", "--depth", "40"]) == 0
+    assert main(["counts", "pascal", "--depth", "40", "--level", "7"]) == 0
+    assert main(["dims", "pascal", "--depth", "40", "--max-level", "9"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 41 + 1 + 10
+    assert out[40].endswith(" total=%d" % 2**40)
+    assert out[41] == "level 7: vertices=8 counts=%s total=128" % " ".join(
+        str(math.comb(7, k)) for k in range(8)
+    )
+    assert out[-1] == "level 9: blocks=%s dimension=%d" % (
+        " ".join(str(math.comb(9, k)) for k in range(10)),
+        math.comb(18, 9),
+    )
+
+
+def test_main_leaves_no_garbage(capsys):
+    # A parser is a reference cycle, so main must not build one per call.
+    main(["verify", "car", "--depth", "2", "--samples", "1"])
+    gc.disable()
+    try:
+        gc.collect()
+        for argv in (["verify", "car", "--depth", "2", "--samples", "1"], ["counts", "car"]):
+            assert main(argv) == 0
+            assert gc.collect() == 0, argv
+    finally:
+        gc.enable()
+
+
 def test_embed_matrix_reads_one_dense_level(monkeypatch, capsys):
     from afpath.diagram import BratteliDiagram
 
@@ -246,6 +282,19 @@ def test_verify_seed_changes_nothing_about_passing(capsys):
     out = capsys.readouterr().out
     assert "seed=99" in out.splitlines()[0]
     assert out.strip().endswith("RESULT PASS")
+
+
+def test_verify_admits_car_below_its_block_levels(capsys):
+    # Pair tables stop at level 4, so car at depth 12 needs only its 4096
+    # paths, under the default cap.
+    assert main(["verify", "car", "--depth", "12", "--samples", "5"]) == 0
+    assert capsys.readouterr().out.endswith("RESULT PASS\n")
+
+
+def test_verify_refuses_car_at_depth_17(capsys):
+    assert main(["verify", "car", "--depth", "17"]) == 1
+    out = capsys.readouterr().out
+    assert "SUITE resource FAIL checks=0 counterexample=resource-limit:needed=131072,cap=100000" in out
 
 
 def test_verify_resource_cap(tmp_path, capsys, monkeypatch):

@@ -7,6 +7,9 @@ import weakref
 import pytest
 
 from afpath import (
+    AfElement,
+    CylinderFunction,
+    GroupoidFunction,
     VerifyConfig,
     SUITE_NAMES,
     builtin_diagram,
@@ -157,10 +160,37 @@ def test_max_entries_cap_parsing(monkeypatch):
 
 
 def test_estimate_max_table():
+    # Block stages count only down to UNIT_LEVEL + 1 = 4: car's 16x16 stage
+    # there outweighs its 32 paths at level 5.
     car5 = builtin_diagram("car", 5)
-    assert estimate_max_table(car5) == 1024  # the 32x32 top stage dominates
+    assert estimate_max_table(car5) == 256
     pas2 = builtin_diagram("pascal", 2)
     assert estimate_max_table(pas2) == 6  # blocks 1, 2, 1
+    # Past level 4 only the paths count: 2^17 of them.
+    assert estimate_max_table(builtin_diagram("car", 17)) == 131072
+
+
+def test_estimate_bounds_every_table_built(monkeypatch):
+    # Each table the suites build goes through one of these constructors; a
+    # check that tabulates deeper than the level plan exceeds the estimate.
+    sizes = []
+
+    def probe(cls, name, size):
+        original = getattr(cls, name).__func__
+
+        def record(klass, *args):
+            x = original(klass, *args)
+            sizes.append(size(x))
+            return x
+
+        monkeypatch.setattr(cls, name, classmethod(record))
+
+    probe(AfElement, "_from_index", AfElement.nnz)
+    probe(GroupoidFunction, "_from_index", GroupoidFunction.nnz)
+    probe(CylinderFunction, "_from_form", lambda f: len(f._form[1]))
+    config = VerifyConfig("uhf3", depth=6, samples=3)
+    assert all(r.passed for r in run_suites(config))
+    assert max(sizes) == estimate_max_table(builtin_diagram("uhf3", 6)) == 81 * 81
 
 
 def test_report_is_deterministic():

@@ -4,10 +4,10 @@ A report is fully determined by (source, depth, seed, samples, suites), so
 a change to the arithmetic that alters any byte of it fails here.  The
 digests were recorded before the exact-integer kernels carried their forms
 with the tables, and every change since must reproduce them.  The seeded
-random diagrams and the built-ins at depths 1 and 2 were recorded before
-the suites' levels were named once in the harness: the level ranges there
-are cut at ``depth - 1`` and at the depth, so only shallow reports show an
-off-by-one in them.
+random diagrams and the built-ins at depths 1, 2 and default were recorded
+before the suites' levels were named once in the harness: the level ranges
+there are cut at ``depth - 1``, at the depth and at fixed levels, so an
+off-by-one in one of them shows only at some depths.
 """
 
 import hashlib
@@ -93,8 +93,9 @@ def test_random_diagram_report_digest(seed, tmp_path, monkeypatch, capsys):
     assert hashlib.sha256(report.encode()).hexdigest() == RANDOM_DIGESTS[seed]
 
 
-# Built-ins at depths 1 and 2, seed 7, 5 samples.
-SHALLOW_DIGESTS = {
+# Built-ins at depths 1 and 2 and, where cheap, at their default depth
+# (None), seed 7, 5 samples.
+BUILTIN_DIGESTS = {
     ("car", 1): "e4cba0baec4da9f0207e58c1a5d91fe439c1fa8099d7db011cd198cd33e0d916",
     ("car", 2): "b5d40e2fe6598ad5a24133d171c2341ae0f031b6a3b410c56e9d1299d94f48be",
     ("pascal", 1): "5d01b7288cc7ff8a0d8979c56112f86593ef5c149679d9b0a4f64749b6866784",
@@ -103,12 +104,16 @@ SHALLOW_DIGESTS = {
     ("fibonacci", 2): "e1f5a5452fa174c7d4f0d0589e02aca6a62124596367436cf159eb5785f0a4c9",
     ("uhf3", 1): "cc260296b1eb78d38c08bddcad22f92c26f356e9452c8b9cc9638102f7d5618c",
     ("uhf3", 2): "b8927ed067ee3177a63e7bf5a7148da4ab84d3a289aebc5e8f5cbbbb4a63b850",
+    ("car", None): "7ac5f5327d663a40e982675b7d3a971cfaf278801feaf89d13d7e1e0f3d8c1b0",
+    ("pascal", None): "9af95569a80e01dabe50b2aac50b327c1f14db0446af72c9a022bcea0ba71795",
+    ("fibonacci", None): "b0dfa53c197e745dac1b0457c84071405255b6aa1b046f083aa3d72ee7f80c67",
 }
 
 
-@pytest.mark.parametrize("source,depth", sorted(SHALLOW_DIGESTS))
-def test_shallow_report_digest(source, depth, capsys):
-    assert main(["verify", source, "--depth", str(depth), "--samples", "5"]) == 0
+@pytest.mark.parametrize("source,depth", list(BUILTIN_DIGESTS))
+def test_builtin_report_digest(source, depth, capsys):
+    extra = [] if depth is None else ["--depth", str(depth)]
+    assert main(["verify", source, "--samples", "5"] + extra) == 0
     report = capsys.readouterr().out
     assert report.endswith("RESULT PASS\n")
-    assert hashlib.sha256(report.encode()).hexdigest() == SHALLOW_DIGESTS[(source, depth)]
+    assert hashlib.sha256(report.encode()).hexdigest() == BUILTIN_DIGESTS[(source, depth)]
