@@ -154,20 +154,16 @@ class AfElement(_exact.PairTable):
 
     def embed(self):
         """The canonical inclusion of stage n into stage n+1."""
-        d = self.diagram
-        n = self.level
-        if n >= d.depth:
-            raise ValueError("cannot embed past the truncation depth %d" % d.depth)
-        return AfElement._from_index(d, n + 1, _exact.extend_index(self._index, d.children(n)))
+        return self.embed_to(self.level + 1)
 
     def embed_to(self, m):
-        """Iterate the inclusion up to stage m >= level."""
+        """The inclusion of stage n into stage m >= n, as one extension of the table."""
+        d = self.diagram
         if m < self.level:
             raise ValueError("cannot embed level %d down to %d" % (self.level, m))
-        x = self
-        while x.level < m:
-            x = x.embed()
-        return x
+        if m > d.depth:
+            raise ValueError("cannot embed past the truncation depth %d" % d.depth)
+        return AfElement._from_index(d, m, _exact.extend_index(self._index, d.descendants(self.level, m)))
 
     def __repr__(self):
         return "AfElement(level=%d, %d blocks, %d nonzero entries)" % (

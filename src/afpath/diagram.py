@@ -394,6 +394,31 @@ class BratteliDiagram:
             return tuple(s for s in frontier if s.end() == w)
         return self.memo(("segments", v, w), build)
 
+    def _down_counts(self, n, m):
+        """Per level k = n..m, the paths from each level-k vertex down to level m."""
+        down = [(1,) * self.vertex_counts[m]]
+        for level in reversed(self._rows[n:m]):
+            down.append(tuple(sum(x * down[-1][j] for j, x in pairs) for pairs in level))
+        return down[::-1]
+
+    def _path_at(self, m, gid):
+        """The length-m path with id gid, built without enumerating level m:
+        from the root, each edge covers as many ids as there are paths from
+        its target down to level m."""
+        down = self._down_counts(0, m)
+        if not 0 <= gid < down[0][0]:
+            raise ValueError("path id %d out of range for level %d" % (gid, m))
+        edges, v = [], 0
+        for k in range(m):
+            for j, x in self._rows[k][v]:
+                size = down[k + 1][j]
+                if gid < x * size:
+                    break
+                gid -= x * size
+            edges.append(Edge(k, v, j, gid // size))
+            gid, v = gid % size, j
+        return FinitePath(edges)
+
     def children(self, n):
         """Where the one-edge extensions of each length-n path sit in paths(n+1).
 
@@ -405,21 +430,18 @@ class BratteliDiagram:
         """
         if not 0 <= n < self.depth:
             raise ValueError("level %d has no children (need 0 <= level < depth %d)" % (n, self.depth))
-        def build():
-            degree = [sum(x for _, x in pairs) for pairs in self._rows[n]]
-            return tuple(accumulate((degree[t] for t in self.terminals(n)), initial=0))
-        return self.memo(("children", n), build)
+        return self.descendants(n, n + 1)
 
     def descendants(self, n, m):
         """Offsets like ``children`` from level n down to level m >= n: the
-        length-m extensions of length-n path id i are ``range(d[i], d[i+1])``."""
+        length-m extensions of length-n path id i are ``range(d[i], d[i+1])``,
+        as many as there are paths from its terminal down to level m."""
         if not 0 <= n <= m <= self.depth:
             raise ValueError("need 0 <= n <= m <= depth, got n=%d m=%d" % (n, m))
-        offsets = range(len(self.terminals(n)) + 1)
-        for k in range(n, m):
-            step = self.children(k)
-            offsets = [step[i] for i in offsets]
-        return offsets
+        def build():
+            down = self._down_counts(n, m)[0]
+            return tuple(accumulate((down[t] for t in self.terminals(n)), initial=0))
+        return self.memo(("descendants", n, m), build)
 
     # -- canonical indexing for tables --------------------------------------
 

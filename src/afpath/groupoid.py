@@ -225,7 +225,7 @@ def vanishing_check(F, m):
         peak = GroupoidFunction._from_index(d, 0, m, _exact.indexed(1, {eta: ([eta], [1], [0])}))
         product = convolve(convolve(Fw, peak), jkw)
         if not product.is_zero():
-            return d.paths(m)[eta]
+            return d._path_at(m, eta)
     if not Fw.is_zero():
         raise AssertionError("nonzero kernel produced no witness; the peaked-product lemma failed")
     return True

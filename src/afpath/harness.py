@@ -374,9 +374,11 @@ def _suite_cylinder(ctx, chk, rng):
     for s in range(ctx.samples):
         f = random_cylinder(d, rng.randint(0, ctx.top), rng)
         m = rng.randint(f.level, d.depth)
-        p = rng.choice(d.paths(m))
+        gid = rng.randrange(sum(d._level_counts()[m]))
+        p = d._path_at(m, gid)
+        den, res, ims = f.refine(m)._form
         chk.ok(
-            f.eval(p) == f.refine(m).table[d.path_id(p)],
+            f.eval(p) == _exact.scalar(den, res[gid], ims[gid]),
             lambda p=p: "eval-refine;path=%s" % format_path(p),
         )
 

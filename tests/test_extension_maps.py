@@ -20,11 +20,13 @@ from afpath import (
     embed_multiplicities,
     expect,
     jones_kernel,
+    jones_projection,
+    matrix_unit,
     parse_diagram,
     represent,
     serialize_diagram,
 )
-from afpath import cli
+from afpath import _exact, cli
 from afpath.harness import random_af_element, random_cylinder, random_groupoid_function
 
 # Vertices 1,3,3,3,3 with multiplicities 0-2 and uneven fan-in: 4, 9, 21
@@ -64,6 +66,10 @@ def random_diagram(seed, depth=4):
     d = BratteliDiagram(counts, mats)
     assert d.validate() == []
     return d
+
+
+RANDOM = [pytest.param(random_diagram(seed), id="random-%d" % seed) for seed in range(12)]
+SEEDED = [pytest.param(MIXED, id="mixed")] + RANDOM
 
 
 def path_id_diagrams():
@@ -166,7 +172,10 @@ def test_children_rejects_levels_outside_range(level):
 
 
 def test_descendants_are_the_extensions_by_segments():
-    d = MIXED
+    _check_descendants(MIXED)
+
+
+def _check_descendants(d):
     for n in range(d.depth + 1):
         for m in range(n, d.depth + 1):
             off = d.descendants(n, m)
@@ -176,6 +185,65 @@ def test_descendants_are_the_extensions_by_segments():
     for n, m in ((-1, 2), (3, 2), (2, 5)):
         with pytest.raises(ValueError):
             d.descendants(n, m)
+
+
+@pytest.mark.parametrize("d", RANDOM)
+def test_descendants_match_path_oracles_on_random_diagrams(d):
+    _check_descendants(d)
+
+
+@pytest.mark.parametrize("d", SEEDED)
+def test_path_at_is_the_enumerated_path(d):
+    for m in range(d.depth + 1):
+        paths = d.paths(m)
+        assert [d._path_at(m, g) for g in range(len(paths))] == list(paths)
+        for g in (-1, len(paths)):
+            with pytest.raises(ValueError):
+                d._path_at(m, g)
+
+
+def _embed_oracle(x, m):
+    """Extend x one level at a time, through ``children`` of each level."""
+    d, index = x.diagram, x._index
+    for k in range(x.level, m):
+        index = _exact.extend_index(index, d.children(k))
+    return AfElement._from_index(d, m, index)
+
+
+@pytest.mark.parametrize("d", SEEDED)
+def test_embed_to_extends_once_like_the_per_level_oracle(d):
+    rng = random.Random(17)
+    for n in range(d.depth + 1):
+        x = random_af_element(d, n, rng)
+        for m in range(n, d.depth + 1):
+            y = x.embed_to(m)
+            assert y.level == m and y == _embed_oracle(x, m)
+        if n < d.depth:
+            assert x.embed() == _embed_oracle(x, n + 1)
+
+
+def test_embed_keeps_its_messages():
+    d = MIXED
+    x = AfElement.identity(d, 2)
+    with pytest.raises(ValueError, match="cannot embed level 2 down to 1"):
+        x.embed_to(1)
+    with pytest.raises(ValueError, match="cannot embed past the truncation depth 4"):
+        x.embed_to(5)
+    with pytest.raises(ValueError, match="cannot embed past the truncation depth 4"):
+        AfElement.identity(d, 4).embed()
+
+
+def test_level_changes_enumerate_no_level_in_between():
+    n, depth = 3, 20
+    d = builtin_diagram("fibonacci", depth)
+    desc = d.descendants(n, depth)
+    for g, p in enumerate(d.paths(n)):
+        assert matrix_unit(d, p, p).embed_to(depth).nnz() == desc[g + 1] - desc[g]
+    jones_kernel(d, n).widen(n, depth)
+    jones_projection(d, n, depth)
+    kinds = ("terminals", "paths", "path_index", "children", "descendants")
+    between = [key for key in d._memo if key[0] in kinds and any(n < k < depth for k in key[1:])]
+    assert between == []
 
 
 def test_prefix_ids_match_path_prefixes():

@@ -14,7 +14,7 @@ import hashlib
 
 import pytest
 
-from afpath import serialize_diagram
+from afpath import harness, serialize_diagram
 from afpath.cli import main
 from test_extension_maps import random_diagram
 
@@ -117,3 +117,74 @@ def test_builtin_report_digest(source, depth, capsys):
     report = capsys.readouterr().out
     assert report.endswith("RESULT PASS\n")
     assert hashlib.sha256(report.encode()).hexdigest() == BUILTIN_DIGESTS[(source, depth)]
+
+
+# -- the suites' draws ----------------------------------------------------------------
+#
+# A report holds only pass/fail and check counts, so a change that draws
+# different samples could still print the same bytes.  These pins hash the
+# RNG state after each suite body; they were recorded before the cylinder
+# suite drew its eval-refine path as an id instead of from ``paths(m)``.
+
+
+def _draw_digest(monkeypatch, capsys, argv):
+    states = []
+
+    def wrap(name, body):
+        def run(ctx, chk, rng):
+            body(ctx, chk, rng)
+            states.append((name, rng.getstate()))
+        return run
+
+    for name, body in list(harness._SUITE_FUNCTIONS.items()):
+        monkeypatch.setitem(harness._SUITE_FUNCTIONS, name, wrap(name, body))
+    assert main(["verify"] + argv) == 0
+    assert capsys.readouterr().out.endswith("RESULT PASS\n")
+    return hashlib.sha256(repr(states).encode()).hexdigest()
+
+
+# (source, seed, depth) -> digest of the RNG states at default samples.
+BUILTIN_DRAW_DIGESTS = {
+    ("car", 7, None): "35b0f5cf7df9089b81e5e269c2e3764cab6204e05e452c57b1388d3f9395a71c",
+    ("car", 11, None): "c224f1368aada41bf40e376fccc8f5cadb63c59f539514d9163fb7f5d1b155d4",
+    ("pascal", 7, None): "3a10fdc62da5b740d12532ce9ce3f842bb7106a9714a1a51a4865db86e07ca42",
+    ("pascal", 11, None): "d473bdf9c964dc35d681e632bf319c5f0d3a93c1ab319cae72212f7917e5a422",
+    ("fibonacci", 7, None): "bcbb3bb0a37e2690d18c1271ad4f26fdda91736302caac67f4484cec32442557",
+    ("fibonacci", 11, None): "7683bd71d7bfce14f613ced5c07ec66876704198aab9a705523ba39da1f0a059",
+    ("uhf3", 7, None): "b737e5917191e1f942d07d11c0447e821285ba6debb6fc276a46216eef623a17",
+    ("uhf3", 11, None): "664a6f0f06166eaf0f654d5ecb05fd4b23f7731394d0d8b4d48b9652938fbf01",
+    ("car", 7, 12): "4a3bac81a3813bd8633d4ffac164c21c14659ae342526b61d0585739e8978e80",
+}
+
+
+@pytest.mark.parametrize("source,seed,depth", list(BUILTIN_DRAW_DIGESTS))
+def test_builtin_suites_draw_the_same_samples(source, seed, depth, monkeypatch, capsys):
+    extra = [] if depth is None else ["--depth", str(depth)]
+    got = _draw_digest(monkeypatch, capsys, [source, "--seed", str(seed)] + extra)
+    assert got == BUILTIN_DRAW_DIGESTS[(source, seed, depth)]
+
+
+# Seed of ``random_diagram`` -> digest of its RNG states at depth 3, 5 samples.
+RANDOM_DRAW_DIGESTS = {
+    0: "f4f994b8036842ba6a4ea5e58ee66d7d6c2aee8edb80d8e9ad7fcda49654f079",
+    1: "953569f9b5f48813afbbf3083eacbe760a49a5b7b83c689e15ab70ae15a4bc9f",
+    2: "31f87d3cb0259062e9dbce4720c258d85c13294ece0605adb8b088b668ebdf06",
+    3: "e89d0c50f7e85f4d796c444dc1feb439106f508c883c09727d577ec508a832f4",
+    4: "5cf405bfe99f60a21ad940abc9f0ee8008680a9992f51c474b322642b3994e56",
+    5: "f1f3518424e4acef569ed122251585c62614fc895bb389a0eb147d61db26fe77",
+    6: "38fa3497f5087a3b49c21dbabbec3a47b2195b10ef9f47241271775e1a3ad27c",
+    7: "2a046869efa2e5b16f9810dcc72c4840e4208b1246578c00c1f47df5ab5704ce",
+    8: "4312999d965b5fa1c178c1faae4490a667f7df7cb9a1315955c71edbcff76231",
+    9: "36aacfd768bd0fcfac3ad78e81cdd9a0811b443947a447e477b7163bfeed7371",
+    10: "520427a2c640f0dbe43ba839ecde0dda32b06c0a9644e6ec8e61d584ac8f09ee",
+    11: "ea726b08c5f53e7bf9f5bf64ecc8887e2c4167e51af62df32565f0cad8a97cfc",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(RANDOM_DRAW_DIGESTS))
+def test_random_diagram_suites_draw_the_same_samples(seed, tmp_path, monkeypatch, capsys):
+    name = "random-%d.bratteli" % seed
+    (tmp_path / name).write_text(serialize_diagram(random_diagram(seed)))
+    monkeypatch.chdir(tmp_path)
+    got = _draw_digest(monkeypatch, capsys, [name, "--depth", "3", "--samples", "5"])
+    assert got == RANDOM_DRAW_DIGESTS[seed]
