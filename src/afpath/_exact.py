@@ -338,11 +338,8 @@ def index_combine(a, b, sign=1):
             continue
         cells = {j: (x * sa, y * sa) for j, x, y in zip(cols, res, ims)}
         for j, x, y in zip(*row):
-            re, im = cells.get(j, (0, 0))
-            cells[j] = (re + x * sb, im + y * sb)
-        kept = [(j, re, im) for j, (re, im) in cells.items() if re or im]
-        if kept:
-            out[i] = tuple(map(list, zip(*kept)))
+            _add_cell(cells, j, x * sb, y * sb)
+        _put_row(out, i, cells)
     for i, (cols, res, ims) in rows_b.items():
         if i not in rows_a:
             out[i] = (cols, [x * sb for x in res], [y * sb for y in ims])
@@ -379,52 +376,152 @@ def product(a, b):
     that a reaches are read, so the cost is the size of a plus those rows,
     however large b is.
 
-    Each Gaussian integer ``re + im*i`` is packed into the single int
-    ``re + im*2**shift`` (Kronecker substitution), so one int multiply-add
-    accumulates ``re*re'``, ``re*im' + im*re'`` and ``im*im'`` in separate
-    digits.  ``shift`` is chosen so that no digit of any cell's sum can
-    reach half of ``2**shift``, which makes the signed digits recoverable.
+    The loop is chosen by the row widths the indexes store:
+
+    - rows of a with one entry each: each row of the product is one row of
+      b times one Gaussian integer, and shares b's column list;
+    - rows of b with one entry each: each term lands in one column, and
+      only a column that a row reaches twice can merge or cancel;
+    - otherwise each reached row of b is packed into one int (Kronecker
+      substitution, see ``_packed_rows``) and a row of the product is a
+      few int multiply-adds.
     """
     den_a, top_a, width_a, rows_a = a
-    den_b, top_b, _, rows_b = b
-    # A cell of row i sums at most len(row i of a) terms, and each digit of
-    # a term is at most 2 * top_a * top_b in size.
-    shift = (width_a * top_a * top_b).bit_length() + 2
-    size = 1 << shift
-    half = size >> 1
-    mask = size - 1
+    den_b, top_b, width_b, rows_b = b
+    if width_a == 1:
+        rows = _scaled_rows(rows_a, rows_b)
+    elif width_b == 1:
+        rows = _merged_rows(rows_a, rows_b)
+    else:
+        # A cell of row i sums at most len(row i of a) terms, and each digit
+        # of a term is at most 2 * top_a * top_b in size.
+        rows = _packed_rows(rows_a, rows_b, (width_a * top_a * top_b).bit_length() + 2)
+    return indexed(den_a * den_b, rows)
+
+
+def _scaled_rows(rows_a, rows_b):
+    """The product's rows when every row of a holds one entry."""
+    get = rows_b.get
+    out = {}
+    for i, ((k,), (re,), (im,)) in rows_a.items():
+        row = get(k)
+        if row is not None:
+            cols, res, ims = row
+            # A product of nonzero Gaussian integers is nonzero.
+            out[i] = (cols, *_times((re, im), res, ims))
+    return out
+
+
+def _merged_rows(rows_a, rows_b):
+    """The product's rows when every row of b holds one entry."""
+    get = rows_b.get
+    out = {}
+    for i, (ks, res_i, ims_i) in rows_a.items():
+        cols, res, ims = [], [], []
+        for k, re, im in zip(ks, res_i, ims_i):
+            row = get(k)
+            if row is not None:
+                (j,), (x,), (y,) = row
+                cols.append(j)
+                res.append(re * x - im * y)
+                ims.append(re * y + im * x)
+        if len(set(cols)) < len(cols):
+            # Terms that land in one column merge, and may cancel.
+            cells = {}
+            for j, re, im in zip(cols, res, ims):
+                _add_cell(cells, j, re, im)
+            _put_row(out, i, cells)
+        elif cols:
+            out[i] = (cols, res, ims)
+    return out
+
+
+def _packed_rows(rows_a, rows_b, shift):
+    """The product's rows, with each reached row of b packed into one int.
+
+    A Gaussian integer ``re + im*i`` is the int ``re + im*2**shift``, and a
+    row of b is the int with the entry in its t-th column at bit
+    ``3*shift*t``.  One int multiply-add by an entry of a then accumulates
+    ``re*re'``, ``re*im' + im*re'`` and ``im*im'`` of every column of the
+    row in separate ``shift``-bit digits.  ``shift`` is chosen so that no
+    digit of any cell's sum can reach half of ``2**shift``, so adding half
+    to every digit leaves each digit in ``[0, 2**shift)`` and each cell a
+    plain ``3*shift``-bit field, cut off by one mask and one shift.  Rows
+    of b with equal column lists accumulate into one int per row of a.
+    """
+    half = 1 << (shift - 1)
+    mask = (1 << shift) - 1
+    cell = 3 * shift
+    get = rows_b.get
     packed = {}
+    groups = {}
+    columns = []
     out = {}
     for i, (ks, res_i, ims_i) in rows_a.items():
         acc = {}
-        get = acc.get
         for k, re, im in zip(ks, res_i, ims_i):
             row = packed.get(k)
             if row is None:
-                if k not in rows_b:
+                row_b = get(k)
+                if row_b is None:
                     continue
-                cols, res_k, ims_k = rows_b[k]
-                row = packed[k] = list(zip(cols, [x + (y << shift) for x, y in zip(res_k, ims_k)]))
-            x = re + (im << shift)
-            for j, y in row:
-                acc[j] = get(j, 0) + x * y
-        cols, res_out, ims_out = [], [], []
-        for j, v in acc.items():
-            c0 = v & mask
-            if c0 >= half:
-                c0 -= size
-            v = (v - c0) >> shift
-            c1 = v & mask
-            if c1 >= half:
-                c1 -= size
-            re = c0 - ((v - c1) >> shift)
-            if re or c1:
-                cols.append(j)
-                res_out.append(re)
-                ims_out.append(c1)
-        if cols:
-            out[i] = (cols, res_out, ims_out)
-    return indexed(den_a * den_b, out)
+                cols, res_k, ims_k = row_b
+                v = 0
+                for x, y in zip(reversed(res_k), reversed(ims_k)):
+                    v = (v << cell) + x + (y << shift)
+                key = tuple(cols)
+                g = groups.get(key)
+                if g is None:
+                    g = groups[key] = len(columns)
+                    # half in each of the row's 3*len(cols) digits
+                    columns.append((cols, half * ((1 << cell * len(cols)) - 1) // mask))
+                row = packed[k] = (g, v)
+            g, v = row
+            acc[g] = acc.get(g, 0) + (re + (im << shift)) * v
+        parts = [_unpacked(v, *columns[g], shift) for g, v in acc.items()]
+        if len(parts) == 1:
+            _, res, ims = parts[0]
+            if not (0 in res and 0 in ims):
+                out[i] = parts[0]
+                continue
+        cells = {}
+        for part in parts:
+            for j, re, im in zip(*part):
+                _add_cell(cells, j, re, im)
+        _put_row(out, i, cells)
+    return out
+
+
+def _unpacked(v, cols, bias, shift):
+    """The row ``(cols, res, ims)`` of a packed row sum, zero cells kept."""
+    half = 1 << (shift - 1)
+    mask = (1 << shift) - 1
+    cell = 3 * shift
+    cell_mask = (1 << cell) - 1
+    v += bias
+    fields = []
+    for _ in cols:
+        fields.append(v & cell_mask)
+        v >>= cell
+    twice = 2 * shift
+    return (
+        cols,
+        [(c & mask) - (c >> twice) for c in fields],
+        [((c >> shift) & mask) - half for c in fields],
+    )
+
+
+def _add_cell(cells, j, re, im):
+    """Add ``re + im*i`` to the cell of column j of a row map ``{j: (re, im)}``."""
+    cell = cells.get(j)
+    cells[j] = (re, im) if cell is None else (cell[0] + re, cell[1] + im)
+
+
+def _put_row(out, i, cells):
+    """Store the nonzero cells of ``{j: (re, im)}`` as row i of ``out``, if any."""
+    kept = [(j, re, im) for j, (re, im) in cells.items() if re or im]
+    if kept:
+        out[i] = tuple(map(list, zip(*kept)))
 
 
 def extend_index(idx, offsets):

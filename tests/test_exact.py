@@ -50,6 +50,10 @@ scalars = st.builds(Scalar, parts, parts)
 nonzero_scalars = scalars.filter(bool)
 indices = st.integers(0, 4)
 tables = st.dictionaries(st.tuples(indices, indices), nonzero_scalars, max_size=16)
+# Tables whose rows each hold one entry: units, diagonals, peaks.
+one_entry_rows = st.dictionaries(indices, st.tuples(indices, nonzero_scalars), max_size=5).map(
+    lambda rows: {(i, j): x for i, (j, x) in rows.items()}
+)
 # Two aligned dense tables, zero entries included.
 aligned = st.integers(1, 12).flatmap(
     lambda n: st.tuples(st.lists(scalars, min_size=n, max_size=n), st.lists(scalars, min_size=n, max_size=n))
@@ -68,10 +72,6 @@ def naive_product(a, b):
             if total:
                 out[(i, j)] = total
     return out
-
-
-def table_product(a, b):
-    return pair_table(product(index(a), index(b)))
 
 
 def assert_reduced(values):
@@ -131,16 +131,36 @@ def unreduced_index(idx, k, rng=None):
     return den * k, top * k, width, out
 
 
-@given(tables, tables)
+def naive_row_sums(a, b):
+    """``naive_product``'s Scalar sums, taken over the nonzero entries only,
+    so that wide rows stay cheap."""
+    rows_b = {}
+    for (k, j), y in b.items():
+        rows_b.setdefault(k, []).append((j, y))
+    out = {}
+    for (i, k), x in a.items():
+        for j, y in rows_b.get(k, ()):
+            out[(i, j)] = out.get((i, j), ZERO) + x * y
+    return {key: val for key, val in out.items() if val}
+
+
+def checked_product(a, b):
+    """The product of two tables through their row indexes; the index is checked."""
+    got = product(index(a), index(b))
+    assert_reduced_index(got)
+    return pair_table(got)
+
+
+@given(tables | one_entry_rows, tables | one_entry_rows)
 def test_product_matches_naive(a, b):
-    assert_same_table(table_product(a, b), naive_product(a, b))
+    assert_same_table(checked_product(a, b), naive_product(a, b))
 
 
 def test_product_drops_cancelled_cells():
     x = Scalar(Fraction(1, 2), Fraction(-2, 3))
     a = {(0, 0): x, (0, 1): x, (1, 1): Scalar(0, 3)}
     b = {(0, 0): Scalar(3), (1, 0): Scalar(-3), (1, 1): Scalar(0, Fraction(1, 3))}
-    got = table_product(a, b)
+    got = checked_product(a, b)
     assert (0, 0) not in got
     assert_same_table(got, naive_product(a, b))
     assert got[(1, 1)] == Scalar(-1)
@@ -150,7 +170,7 @@ def test_product_of_large_numerators():
     big = Scalar(Fraction(3**40, 7), Fraction(-(2**70), 5))
     a = {(0, k): big for k in range(5)}
     b = {(k, 0): big.conjugate() for k in range(5)}
-    assert_same_table(table_product(a, b), naive_product(a, b))
+    assert_same_table(checked_product(a, b), naive_product(a, b))
 
 
 def test_product_of_long_rows():
@@ -160,20 +180,121 @@ def test_product_of_long_rows():
     b = {(k, j): Scalar(Fraction(1, 3), 1) for k in range(64) for j in range(2)}
     cell = 64 * (Scalar(1, -1) * Scalar(Fraction(1, 3), 1))
     assert cell == Scalar(Fraction(256, 3), Fraction(128, 3))
-    assert_same_table(table_product(a, b), {(0, 0): cell, (0, 1): cell})
+    assert_same_table(checked_product(a, b), {(0, 0): cell, (0, 1): cell})
+
+
+@given(one_entry_rows, tables)
+def test_scaled_rows_match_naive(a, b):
+    # Every row of a holds one entry: each row of the product is a row of b
+    # times one Gaussian integer.
+    assert index(a)[2] <= 1
+    assert_same_table(checked_product(a, b), naive_product(a, b))
+
+
+@given(tables, one_entry_rows)
+def test_merged_rows_match_naive(a, b):
+    # Every row of b holds one entry: each term lands in one column.
+    assert index(b)[2] <= 1
+    assert_same_table(checked_product(a, b), naive_product(a, b))
+
+
+def test_merged_rows_merge_and_cancel():
+    # Rows 0, 1 and 2 of b hold one entry each, all in column 0.
+    x = Scalar(Fraction(1, 2), Fraction(-2, 3))
+    b = {(0, 0): Scalar(1), (1, 0): Scalar(-1), (2, 0): Scalar(0, 1), (3, 2): Scalar(Fraction(3, 4))}
+    a = {
+        # column 0 cancels, column 2 stays
+        (0, 0): x, (0, 1): x, (0, 3): Scalar(2),
+        # column 0 merges two terms
+        (1, 0): x, (1, 2): x,
+        # the whole row cancels
+        (2, 0): Scalar(0, 1), (2, 2): Scalar(-1),
+    }
+    got = checked_product(a, b)
+    assert set(got) == {(0, 2), (1, 0)}
+    assert got[(1, 0)] == x + x * Scalar(0, 1)
+    assert_same_table(got, naive_product(a, b))
+
+
+def test_packed_rows_reach_rows_of_b_with_different_column_lists():
+    b = {
+        (0, 0): Scalar(1), (0, 1): Scalar(2),
+        (1, 1): Scalar(-2), (1, 2): Scalar(0, 1),
+        (2, 0): Scalar(Fraction(1, 3)), (2, 2): Scalar(0, -1), (2, 3): Scalar(5),
+        # the columns of row 0 listed the other way round
+        (3, 1): Scalar(2), (3, 0): Scalar(1),
+    }
+    a = {
+        # column 1 cancels across rows 0 and 1 of b
+        (0, 0): Scalar(1), (0, 1): Scalar(1), (0, 2): Scalar(3),
+        # rows 0 and 3 of b cancel cell by cell
+        (1, 0): Scalar(Fraction(1, 2), 1), (1, 3): Scalar(Fraction(-1, 2), -1),
+        (2, 1): Scalar(0, 2), (2, 2): Scalar(-1),
+    }
+    got = checked_product(a, b)
+    assert (0, 1) not in got and not any(i == 1 for i, _ in got)
+    assert_same_table(got, naive_product(a, b))
+
+
+def test_packed_rows_drop_cells_that_cancel_within_one_column_list():
+    # Rows 0, 1 and 2 of b share one column list, so each row of a sums one
+    # packed int.
+    b = {
+        (0, 0): Scalar(1), (0, 1): Scalar(2, 1),
+        (1, 0): Scalar(1), (1, 1): Scalar(-2, -1),
+        (2, 0): Scalar(1), (2, 1): Scalar(2, 1),
+    }
+    a = {
+        # column 1 cancels
+        (0, 0): Scalar(Fraction(1, 3)), (0, 1): Scalar(Fraction(1, 3)),
+        # the whole row cancels
+        (1, 0): Scalar(0, 1), (1, 2): Scalar(0, -1),
+        (2, 0): Scalar(Fraction(-1, 2), 1), (2, 1): Scalar(0, 5),
+    }
+    got = checked_product(a, b)
+    assert set(got) == {(0, 0), (2, 0), (2, 1)}
+    assert_same_table(got, naive_product(a, b))
+
+
+def test_packed_rows_at_the_digit_bound():
+    # (t + t*i)**2 = 2*t*t*i: every term puts the most a term can into the
+    # middle digit, so a cell of five terms reaches the bound that sets the
+    # digit size.
+    for t in (1, 7, 3**20):
+        x = Scalar(t, t)
+        a = {(i, k): x if i == 0 else -x for i in range(2) for k in range(5)}
+        b = {(k, j): x for k in range(5) for j in range(3)}
+        got = checked_product(a, b)
+        assert got[(0, 0)] == Scalar(0, 10 * t * t)
+        assert_same_table(got, naive_product(a, b))
+
+
+@pytest.mark.parametrize("width", [1, 64, 294])
+def test_product_of_dense_rows(width):
+    # Dense rows with mixed signs and large numerators over mixed
+    # denominators; 294 is the largest tail class of the 7, 7, 6 file
+    # diagram.  Row 1 of a is short, so one product mixes short and wide rows.
+    rng = random.Random(width)
+    big = 3**40
+    pool = [Scalar(Fraction(rng.randint(-big, big), d), rng.randint(-big, big)) for d in (1, 1, 3, 5) * 25]
+    a = {(0, k): rng.choice(pool) for k in range(width)}
+    a[(1, width - 1)] = rng.choice(pool)
+    b = {(k, j): rng.choice(pool) for k in range(width) for j in range(width)}
+    assert_same_table(checked_product(a, b), naive_row_sums(a, b))
 
 
 @given(tables)
 def test_product_with_empty_operand(a):
-    assert table_product(a, {}) == {}
-    assert table_product({}, a) == {}
+    assert checked_product(a, {}) == {}
+    assert checked_product({}, a) == {}
 
 
 @settings(max_examples=40)
-@given(st.lists(tables, min_size=1, max_size=8), tables)
+@given(st.lists(tables | one_entry_rows, min_size=1, max_size=8), tables | one_entry_rows)
 def test_one_index_reused_across_many_products(lefts, b):
     # The index of b is built once and read by every product, on either
-    # side; reading it must not change it.
+    # side; reading it must not change it, though a product by one-entry
+    # rows shares b's column lists.
     idx = index(b)
     before = repr(idx)
     for a in lefts:
@@ -206,6 +327,10 @@ class _Rows(dict):
         self.read.add(k)
         return super().__getitem__(k)
 
+    def get(self, k, default=None):
+        self.read.add(k)
+        return super().get(k, default)
+
     def _scan(self, *args):
         raise AssertionError("product scanned every row of b")
 
@@ -213,13 +338,22 @@ class _Rows(dict):
 
 
 def test_product_reads_only_the_rows_of_b_that_a_reaches():
-    b = {(k, j): Scalar(Fraction(k + 1, j + 2), j % 3 - 1) for k in range(16) for j in range(16)}
-    a = {(0, 3): Scalar(2), (1, 3): Scalar(0, 1), (2, 11): Scalar(Fraction(-1, 3)), (2, 20): Scalar(5)}
-    den, top, width, rows = index(b)
-    rows = _Rows(rows)
-    got = pair_table(product(index(a), (den, top, width, rows)))
-    assert rows.read == {3, 11, 20}
-    assert_same_table(got, naive_product(a, b))
+    # One case per loop of product: packed rows (a row of a with two
+    # entries), scaled rows (every row of a holds one entry) and merged
+    # rows (every row of b holds one entry).
+    dense = {(k, j): Scalar(Fraction(k + 1, j + 2), j % 3 - 1) for k in range(16) for j in range(16)}
+    one_entry = {(k, (5 * k) % 7): Scalar(Fraction(k + 1, 3), k % 3 - 1) for k in range(16)}
+    cases = [
+        ({(0, 3): Scalar(2), (1, 3): Scalar(0, 1), (2, 11): Scalar(Fraction(-1, 3)), (2, 20): Scalar(5)}, dense),
+        ({(0, 3): Scalar(2), (1, 11): Scalar(0, 1), (4, 20): Scalar(Fraction(-1, 3))}, dense),
+        ({(0, 3): Scalar(2), (0, 5): Scalar(0, 1), (2, 11): Scalar(Fraction(-1, 3)), (2, 20): Scalar(5)}, one_entry),
+    ]
+    for a, b in cases:
+        den, top, width, rows = index(b)
+        rows = _Rows(rows)
+        got = pair_table(product(index(a), (den, top, width, rows)))
+        assert rows.read == {k for _, k in a}
+        assert_same_table(got, naive_product(a, b))
 
 
 def test_reading_a_table_leaves_its_form_in_place():
