@@ -11,8 +11,9 @@ default: the largest tail class of the 7, 7, 6 file diagram).  Dense entries
 are Gaussian integers with parts in [-108, 108] over a denominator, drawn
 from one seeded RNG, so every run times the same operands.
 
-Each case makes ``--calls`` calls (at least one) and reports the best of
-three rounds.  ``--src`` imports afpath from another checkout's ``src/``,
+A round makes ``--calls`` calls of a case, or ``--calls * 27 / W**2`` (at
+least one) of a case whose widest row W exceeds 5, and each case reports
+the best of three rounds.  ``--src`` imports afpath from another checkout's ``src/``,
 so the same operands can be timed before and after a change.
 """
 
