@@ -4,13 +4,12 @@ A table of Scalars has an exact form: Gaussian-integer numerators (Python
 ints) over one common denominator, Bareiss's integer-preserving idea
 (Math. Comp. 22, 1968).  A cylinder table's form is ``(den, res, ims)``,
 two lists aligned with the table; a pair table's form is a row *index*
-``(den, top, width, rows)`` with ``rows[i] = (cols, res, ims)``, where
-``top`` bounds every numerator's size and ``width`` every row's length.  A
-row index holds no zero cell and no empty row.  Conversions and arithmetic
-kernels return reduced forms (no integer > 1 divides the denominator and
-all numerators); a re-indexed or extended form may not be, which costs
-only size: ``equal`` and ``index_equal`` cross-multiply the denominators,
-and converting back reduces every Fraction.
+``(den, rows)`` with ``rows[i] = (cols, res, ims)``.  A row index holds no
+zero cell and no empty row.  Conversions and arithmetic kernels return
+reduced forms (no integer > 1 divides the denominator and all numerators);
+a re-indexed or extended form may not be, which costs only size: ``equal``
+and ``index_equal`` cross-multiply the denominators, and converting back
+reduces every Fraction.
 
 The form is the only state a table owner (``PairTable``,
 ``CylinderFunction``) keeps.  The kernels here take and return forms, add,
@@ -170,15 +169,20 @@ def class_sums(f, classes, scale=None):
 def index(table):
     """The row index of a sparse pair table ``{(i, j): nonzero Scalar}``."""
     den, res, ims = form(table.values())
+    return indexed(den, _row_map(zip(table, res, ims)))
+
+
+def _row_map(cells):
+    """The row map of ``((i, j), re, im)`` cells, each row's columns in the order given."""
     rows = {}
-    for (i, j), re, im in zip(table, res, ims):
+    for (i, j), re, im in cells:
         row = rows.get(i)
         if row is None:
             row = rows[i] = ([], [], [])
         row[0].append(j)
         row[1].append(re)
         row[2].append(im)
-    return indexed(den, rows)
+    return rows
 
 
 def diagonal(f):
@@ -188,25 +192,27 @@ def diagonal(f):
 
 
 def indexed(den, rows):
-    """The row index of a row map over ``den``: reduced, with its size bounds."""
-    res, ims, width = [], [], 0
-    for cols, row_res, row_ims in rows.values():
-        res += row_res
-        ims += row_ims
-        width = max(width, len(cols))
-    if not res:
+    """The reduced row index of a row map over ``den``; EMPTY when no row holds a cell."""
+    if not rows:
         return EMPTY
-    g = gcd(den, *res, *ims)
-    if g != 1:
-        den //= g
-        rows = {
-            i: (cols, [x // g for x in row_res], [y // g for y in row_ims])
-            for i, (cols, row_res, row_ims) in rows.items()
-        }
-    return den, max(max(res), -min(res), max(ims), -min(ims)) // g, width, rows
+    g = den
+    for _, res, ims in rows.values():
+        g = gcd(g, *res, *ims)
+        if g == 1 and res:
+            return den, rows
+    if not any(cols for cols, _, _ in rows.values()):
+        return EMPTY
+    return den // g, {
+        i: (cols, [x // g for x in res], [y // g for y in ims]) for i, (cols, res, ims) in rows.items()
+    }
 
 
-EMPTY = (1, 0, 0, {})
+def unit(a, b):
+    """The row index of the one-entry table ``{(a, b): 1}``."""
+    return 1, {a: ([b], [1], [0])}
+
+
+EMPTY = (1, {})
 
 
 class PairTable:
@@ -217,11 +223,11 @@ class PairTable:
     time it is read and keeps none.
 
     The *-algebra shared by every pair table (``+``, ``-``, negation,
-    scaling and ``adjoint``) lives here.  It relies on two hooks that a
-    subclass defines: ``_like(index)``, a table of the same class and levels
-    holding ``index``, and ``_aligned(other)``, the two operands as tables
-    at common levels (or a TypeError/ValueError when they cannot be).  A
-    subclass defines its own product and equality.
+    scaling, ``adjoint`` and ``==``) lives here.  It relies on two hooks
+    that a subclass defines: ``_like(index)``, a table of the same class and
+    levels holding ``index``, and ``_aligned(other)``, the two operands as
+    tables at common levels (or a TypeError/ValueError when they cannot be).
+    A subclass defines its own product.
     """
 
     __slots__ = ("_index",)
@@ -254,6 +260,16 @@ class PairTable:
         """The conjugate transpose ``{(j, i): conj(value)}``."""
         return self._like(index_adjoint(self._index))
 
+    def __eq__(self, other):
+        """Equal tables once aligned; operands that cannot be aligned are unequal."""
+        try:
+            f, g = self._aligned(other)
+        except TypeError:
+            return NotImplemented
+        except ValueError:
+            return False
+        return index_equal(f._index, g._index)
+
     # Equal tables need not share an index (nor, for kernels, levels), so
     # no hash of the index could agree with __eq__.
     __hash__ = None
@@ -265,7 +281,7 @@ class PairTable:
 
     def _at(self, a, b):
         """The Scalar at the pair (a, b) of path ids, ZERO off the table."""
-        den, _, _, rows = self._index
+        den, rows = self._index
         row = rows.get(a)
         if row is None or b not in row[0]:
             return ZERO
@@ -274,21 +290,21 @@ class PairTable:
 
     def keys(self):
         """Iterate over the pairs of path ids of the nonzero entries."""
-        for i, (cols, _, _) in self._index[3].items():
+        for i, (cols, _, _) in self._index[1].items():
             for j in cols:
                 yield i, j
 
     def nnz(self):
         """The number of nonzero entries."""
-        return sum(len(cols) for cols, _, _ in self._index[3].values())
+        return sum(len(cols) for cols, _, _ in self._index[1].values())
 
     def is_zero(self):
-        return not self._index[3]
+        return not self._index[1]
 
 
 def pair_table(idx):
     """The sparse Scalar table ``{(i, j): value}`` that a row index stands for."""
-    den, _, _, rows = idx
+    den, rows = idx
     keys, res, ims = [], [], []
     for i, (cols, row_res, row_ims) in rows.items():
         keys += [(i, j) for j in cols]
@@ -303,8 +319,8 @@ def index_equal(a, b):
     A row's columns may come in different orders (a product lists them as
     they are reached); denominators are cross-multiplied as in ``equal``.
     """
-    den_a, _, _, rows_a = a
-    den_b, _, _, rows_b = b
+    den_a, rows_a = a
+    den_b, rows_b = b
     if rows_a.keys() != rows_b.keys():
         return False
     for i, (cols, res, ims) in rows_a.items():
@@ -325,8 +341,8 @@ def index_equal(a, b):
 
 def index_combine(a, b, sign=1):
     """The row index of the entrywise ``a + sign*b``, zero cells dropped."""
-    den_a, _, _, rows_a = a
-    den_b, _, _, rows_b = b
+    den_a, rows_a = a
+    den_b, rows_b = b
     den = lcm(den_a, den_b)
     sa = den // den_a
     sb = sign * (den // den_b)
@@ -348,22 +364,14 @@ def index_combine(a, b, sign=1):
 
 def index_adjoint(idx):
     """The row index of the conjugate transpose ``{(j, i): conj(value)}``."""
-    den, top, _, rows = idx
-    out = {}
-    for i, (cols, res, ims) in rows.items():
-        for j, x, y in zip(cols, res, ims):
-            row = out.get(j)
-            if row is None:
-                row = out[j] = ([], [], [])
-            row[0].append(i)
-            row[1].append(x)
-            row[2].append(-y)
-    return den, top, max((len(cols) for cols, _, _ in out.values()), default=0), out
+    den, rows = idx
+    cells = (((j, i), x, -y) for i, (cols, res, ims) in rows.items() for j, x, y in zip(cols, res, ims))
+    return den, _row_map(cells)
 
 
 def scale_index(c, idx):
     """The row index of ``c * table`` for a nonzero Scalar c."""
-    (cd, (cr,), (ci,)), (den, _, _, rows) = form((c,)), idx
+    (cd, (cr,), (ci,)), (den, rows) = form((c,)), idx
     return indexed(
         cd * den, {i: (cols, *_times((cr, ci), res, ims)) for i, (cols, res, ims) in rows.items()}
     )
@@ -376,27 +384,38 @@ def product(a, b):
     that a reaches are read, so the cost is the size of a plus those rows,
     however large b is.
 
-    The loop is chosen by the row widths the indexes store:
+    The loop is chosen by the widths of the rows it reads:
 
-    - rows of a with one entry each: each row of the product is one row of
-      b times one Gaussian integer, and shares b's column list;
-    - rows of b with one entry each: each term lands in one column, and
-      only a column that a row reaches twice can merge or cancel;
+    - every row of a holds one entry (an empty a too): each row of the
+      product is one row of b times one Gaussian integer, and shares b's
+      column list;
+    - every row of b that a reaches holds one entry: each term lands in one
+      column, and only a column that a row reaches twice can merge or
+      cancel;
     - otherwise each reached row of b is packed into one int (Kronecker
       substitution, see ``_packed_rows``) and a row of the product is a
       few int multiply-adds.
     """
-    den_a, top_a, width_a, rows_a = a
-    den_b, top_b, width_b, rows_b = b
-    if width_a == 1:
-        rows = _scaled_rows(rows_a, rows_b)
-    elif width_b == 1:
-        rows = _merged_rows(rows_a, rows_b)
+    den_a, rows_a = a
+    den_b, rows_b = b
+    if all(len(ks) == 1 for ks, _, _ in rows_a.values()):
+        return indexed(den_a * den_b, _scaled_rows(rows_a, rows_b))
+    reach = {k for ks, _, _ in rows_a.values() for k in ks}
+    reached = {k: row for k in reach if (row := rows_b.get(k)) is not None}
+    if all(len(cols) == 1 for cols, _, _ in reached.values()):
+        rows = _merged_rows(rows_a, reached)
     else:
         # A cell of row i sums at most len(row i of a) terms, and each digit
         # of a term is at most 2 * top_a * top_b in size.
-        rows = _packed_rows(rows_a, rows_b, (width_a * top_a * top_b).bit_length() + 2)
+        width = max(len(ks) for ks, _, _ in rows_a.values())
+        bound = width * _top(rows_a) * _top(reached)
+        rows = _packed_rows(rows_a, reached, bound.bit_length() + 2)
     return indexed(den_a * den_b, rows)
+
+
+def _top(rows):
+    """The largest size of a numerator in a row map."""
+    return max(max(map(abs, res + ims)) for _, res, ims in rows.values())
 
 
 def _scaled_rows(rows_a, rows_b):
@@ -413,7 +432,7 @@ def _scaled_rows(rows_a, rows_b):
 
 
 def _merged_rows(rows_a, rows_b):
-    """The product's rows when every row of b holds one entry."""
+    """The product's rows when every row of b that a reaches holds one entry."""
     get = rows_b.get
     out = {}
     for i, (ks, res_i, ims_i) in rows_a.items():
@@ -532,10 +551,10 @@ def extend_index(idx, offsets):
     a pair end at one vertex, so their t-th extensions follow the same
     edges.  The copies of a row share its numerator lists.
     """
-    den, top, width, rows = idx
+    den, rows = idx
     out = {}
     for a, (cols, res, ims) in rows.items():
         start = offsets[a]
         for t in range(offsets[a + 1] - start):
             out[start + t] = ([offsets[b] + t for b in cols], res, ims)
-    return den, top, width, out
+    return den, out

@@ -111,7 +111,7 @@ class AfElement(_exact.PairTable):
         return rows
 
     def trace_block(self, v):
-        den, _, _, rows = self._index
+        den, rows = self._index
         terminals = self.diagram.terminals(self.level)
         total_re = total_im = 0
         for a, (cols, res, ims) in rows.items():
@@ -140,15 +140,6 @@ class AfElement(_exact.PairTable):
             return super().__mul__(other)
         f, g = self._aligned(other)
         return f._like(_exact.product(f._index, g._index))
-
-    def __eq__(self, other):
-        if not isinstance(other, AfElement):
-            return NotImplemented
-        return (
-            other.diagram is self.diagram
-            and other.level == self.level
-            and _exact.index_equal(other._index, self._index)
-        )
 
     # -- the tower --------------------------------------------------------------
 
@@ -182,12 +173,7 @@ def matrix_unit(diagram, gamma, delta):
             "paths end at different vertices %r and %r" % (gamma.terminal(), delta.terminal())
         )
     d = diagram
-    return AfElement._from_index(d, len(gamma), _unit_index(d.path_id(gamma), d.path_id(delta)))
-
-
-def _unit_index(a, b):
-    """The row index of the table ``{(a, b): 1}``."""
-    return 1, 1, 1, {a: ([b], [1], [0])}
+    return AfElement._from_index(d, len(gamma), _exact.unit(d.path_id(gamma), d.path_id(delta)))
 
 
 def represent_cylinder(f):
@@ -291,7 +277,7 @@ def embed_multiplicities(diagram, n):
     terminals = d.terminals(n)
     for v in range(d.vertex_counts[n]):
         first = terminals.index(v)  # the first path id into v
-        image = AfElement._from_index(d, n, _unit_index(first, first)).embed()
+        image = AfElement._from_index(d, n, _exact.unit(first, first)).embed()
         row = []
         for w in range(d.vertex_counts[n + 1]):
             t = image.trace_block(w)

@@ -140,14 +140,6 @@ class GroupoidFunction(_exact.PairTable):
     def __matmul__(self, other):
         return convolve(self, other)
 
-    def __eq__(self, other):
-        if not isinstance(other, GroupoidFunction):
-            return NotImplemented
-        if other.diagram is not self.diagram:
-            return False
-        f, g = self._aligned(other)
-        return _exact.index_equal(f._index, g._index)
-
     def __repr__(self):
         return "GroupoidFunction(support=%d, table=%d, %d entries)" % (
             self.support_level,
@@ -222,7 +214,7 @@ def vanishing_check(F, m):
     jkw = jones_kernel(d, n).widen(n, m)
     for eta in range(len(d.terminals(m))):
         # diag(I_eta): the one-entry diagonal kernel at path id eta.
-        peak = GroupoidFunction._from_index(d, 0, m, _exact.indexed(1, {eta: ([eta], [1], [0])}))
+        peak = GroupoidFunction._from_index(d, 0, m, _exact.unit(eta, eta))
         product = convolve(convolve(Fw, peak), jkw)
         if not product.is_zero():
             return d._path_at(m, eta)

@@ -102,12 +102,10 @@ def assert_reduced_form(f):
 
 
 def assert_reduced_index(idx):
-    den, top, width, rows = idx
+    den, rows = idx
     res = [x for _, row_res, _ in rows.values() for x in row_res]
     ims = [y for _, _, row_ims in rows.values() for y in row_ims]
     assert_reduced_form((den, res, ims))
-    assert top == max(map(abs, res + ims), default=0)
-    assert width == max((len(cols) for cols, _, _ in rows.values()), default=0)
     assert all(cols and len(set(cols)) == len(cols) for cols, _, _ in rows.values())
     assert all(x or y for x, y in zip(res, ims))
 
@@ -121,14 +119,14 @@ def unreduced(f, k):
 def unreduced_index(idx, k, rng=None):
     """The row index over k times its denominator, each row's columns
     shuffled when an rng is given."""
-    den, top, width, rows = idx
+    den, rows = idx
     out = {}
     for i, (cols, res, ims) in rows.items():
         cells = list(zip(cols, res, ims))
         if rng is not None:
             rng.shuffle(cells)
         out[i] = ([j for j, _, _ in cells], [x * k for _, x, _ in cells], [y * k for _, _, y in cells])
-    return den * k, top * k, width, out
+    return den * k, out
 
 
 def naive_row_sums(a, b):
@@ -187,14 +185,14 @@ def test_product_of_long_rows():
 def test_scaled_rows_match_naive(a, b):
     # Every row of a holds one entry: each row of the product is a row of b
     # times one Gaussian integer.
-    assert index(a)[2] <= 1
+    assert all(len(cols) == 1 for cols, _, _ in index(a)[1].values())
     assert_same_table(checked_product(a, b), naive_product(a, b))
 
 
 @given(tables, one_entry_rows)
 def test_merged_rows_match_naive(a, b):
     # Every row of b holds one entry: each term lands in one column.
-    assert index(b)[2] <= 1
+    assert all(len(cols) == 1 for cols, _, _ in index(b)[1].values())
     assert_same_table(checked_product(a, b), naive_product(a, b))
 
 
@@ -337,23 +335,41 @@ class _Rows(dict):
     items = values = keys = __iter__ = _scan
 
 
-def test_product_reads_only_the_rows_of_b_that_a_reaches():
-    # One case per loop of product: packed rows (a row of a with two
-    # entries), scaled rows (every row of a holds one entry) and merged
-    # rows (every row of b holds one entry).
+def test_product_reads_only_the_rows_of_b_that_a_reaches(monkeypatch):
+    # Each case names the loop that product takes from the rows it reads:
+    # scaled rows (every row of a holds one entry, or a is empty), merged
+    # rows (every row of b that a reaches holds one entry) or packed rows.
     dense = {(k, j): Scalar(Fraction(k + 1, j + 2), j % 3 - 1) for k in range(16) for j in range(16)}
     one_entry = {(k, (5 * k) % 7): Scalar(Fraction(k + 1, 3), k % 3 - 1) for k in range(16)}
+    # Rows 0-7 hold one entry each; rows 8-15 are wide.
+    mixed = {key: x for key, x in dense.items() if key[0] >= 8}
+    mixed.update((key, x) for key, x in one_entry.items() if key[0] < 8)
+    # Row 2 holds small numerators; row 9, never reached, numerators of 2**70 and more.
+    huge = {(2, 0): Scalar(3, -1), (2, 4): Scalar(-2), (3, 1): Scalar(1, 1)}
+    huge.update(((9, j), Scalar(2**70 + j, -(2**71))) for j in range(3))
     cases = [
-        ({(0, 3): Scalar(2), (1, 3): Scalar(0, 1), (2, 11): Scalar(Fraction(-1, 3)), (2, 20): Scalar(5)}, dense),
-        ({(0, 3): Scalar(2), (1, 11): Scalar(0, 1), (4, 20): Scalar(Fraction(-1, 3))}, dense),
-        ({(0, 3): Scalar(2), (0, 5): Scalar(0, 1), (2, 11): Scalar(Fraction(-1, 3)), (2, 20): Scalar(5)}, one_entry),
+        ({(0, 3): Scalar(2), (1, 3): Scalar(0, 1), (2, 11): Scalar(Fraction(-1, 3)), (2, 20): Scalar(5)}, dense, "packed"),
+        ({(0, 3): Scalar(2), (1, 11): Scalar(0, 1), (4, 20): Scalar(Fraction(-1, 3))}, dense, "scaled"),
+        ({(0, 3): Scalar(2), (0, 5): Scalar(0, 1), (2, 11): Scalar(Fraction(-1, 3)), (2, 20): Scalar(5)}, one_entry, "merged"),
+        ({}, dense, "scaled"),
+        ({(0, 1): Scalar(2), (0, 6): Scalar(0, 1), (3, 2): Scalar(-1), (3, 20): Scalar(5)}, mixed, "merged"),
+        ({(0, 2): Scalar(Fraction(1, 5)), (0, 3): Scalar(0, 4), (1, 2): Scalar(7, 1), (1, 8): Scalar(1)}, huge, "packed"),
     ]
-    for a, b in cases:
-        den, top, width, rows = index(b)
+    taken = []
+    for name in ("scaled", "merged", "packed"):
+        loop = getattr(_exact, "_%s_rows" % name)
+        spy = lambda *args, loop=loop, name=name: taken.append(name) or loop(*args)
+        monkeypatch.setattr(_exact, "_%s_rows" % name, spy)
+    for a, b, loop in cases:
+        den, rows = index(b)
         rows = _Rows(rows)
-        got = pair_table(product(index(a), (den, top, width, rows)))
+        taken.clear()
+        got = product(index(a), (den, rows))
+        assert taken == [loop]
         assert rows.read == {k for _, k in a}
-        assert_same_table(got, naive_product(a, b))
+        assert_same_table(pair_table(got), naive_product(a, b))
+        if not a:
+            assert got == EMPTY
 
 
 def test_reading_a_table_leaves_its_form_in_place():
@@ -601,13 +617,11 @@ def check_indexed(den, rows):
     if not cells:
         assert got == EMPTY
         return
-    den2, top, width, rows2 = got
+    den2, rows2 = got
     assert rows2.keys() == rows.keys()
     assert {(i, j): (Fraction(x, den2), Fraction(y, den2)) for i, row in rows2.items() for j, x, y in zip(*row)} == cells
     numerators = [x for _, res, ims in rows2.values() for x in res + ims]
     assert gcd(den2, *numerators) == 1
-    assert top == max(map(abs, numerators))
-    assert width == max(len(cols) for cols, _, _ in rows.values())
 
 
 @pytest.mark.parametrize(
@@ -617,7 +631,7 @@ def check_indexed(den, rows):
         (5, {0: ([], [], []), 3: ([], [], [])}),
         # all-zero imaginary parts
         (6, {0: ([1, 2], [3, -9], [0, 0]), 2: ([0], [6], [0])}),
-        # negative extremes set the size bound, in either part
+        # large numerators of either sign, in either part
         (1, {0: ([0], [-(2**70)], [5]), 1: ([1], [2**69], [-(2**70) - 1])}),
         (7, {4: ([0, 1, 2], [-3, 1, 2], [0, -8, 8])}),
         # a gcd > 1 with the denominator, shared across rows

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from afpath import AfElement, GroupoidFunction, Scalar, builtin_diagram, convolve, represent
+from afpath import AfElement, BratteliDiagram, GroupoidFunction, Scalar, builtin_diagram, convolve, represent
 from afpath.harness import random_af_element, random_groupoid_function
 from test_extension_maps import MIXED
 
@@ -107,3 +107,17 @@ def test_negation_scaling_and_adjoint_keep_class_and_levels(kind, name):
         assert z.diagram is x.diagram and levels(z) == levels(x)
     with pytest.raises(TypeError):
         hash(x)
+
+
+@pytest.mark.parametrize("kind", [AfElement, GroupoidFunction])
+@pytest.mark.parametrize("name", DIAGRAMS)
+def test_equal_tables_on_different_diagrams_compare_unequal(kind, name):
+    # Two equal diagrams are still two diagrams: the same random table on
+    # each compares unequal, and == does not raise.
+    d = DIAGRAMS[name]
+    twin = BratteliDiagram(d.vertex_counts, d.incidence)
+    x, y = draw(kind, d, random.Random(73)), draw(kind, twin, random.Random(73))
+    assert x.table == y.table
+    assert not x == y and not y == x
+    assert x != y and y != x
+    assert x == draw(kind, d, random.Random(73))

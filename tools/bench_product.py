@@ -5,9 +5,10 @@
 Prints one line per case: the operands' shapes and the microseconds per call
 of ``afpath._exact.product``, the kernel behind ``AfElement.__mul__`` and
 ``convolve``.  The cases are a matrix unit times a matrix unit, a unit times
-a dense 27x27 block, a dense 27x27 block times a diagonal, and dense WxW
-blocks times dense WxW blocks for W = 27 and W = ``--wide`` (294 by
-default: the largest tail class of the 7, 7, 6 file diagram).  Dense entries
+a dense 27x27 block, the empty table times a dense 27x27 block (the bulk of
+``vanishing_check``'s products), a dense 27x27 block times a diagonal, and
+dense WxW blocks times dense WxW blocks for W = 27 and W = ``--wide`` (294
+by default: the largest tail class of the 7, 7, 6 file diagram).  Dense entries
 are Gaussian integers with parts in [-108, 108] over a denominator, drawn
 from one seeded RNG, so every run times the same operands.
 
@@ -39,16 +40,23 @@ def dense(exact, rng, width):
 def operands(exact, wide, seed=14):
     """The (label, a, b) of each case, built from one seeded RNG."""
     rng = random.Random(seed)
-    unit = lambda i, j: exact.indexed(1, {i: ([j], [1], [0])})
+    unit = exact.unit
     diag = exact.indexed(6, {g: ([g], [rng.randint(-9, 9) or 1], [rng.randint(-9, 9)]) for g in range(27)})
     d27, e27, big = dense(exact, rng, 27), dense(exact, rng, 27), dense(exact, rng, wide)
     return [
         ("unit x unit", unit(3, 5), unit(5, 7)),
         ("unit x dense27", unit(3, 5), d27),
+        ("empty x dense27", exact.EMPTY, d27),
         ("dense27 x diag27", d27, diag),
         ("dense27 x dense27", d27, e27),
         ("dense%d x dense%d" % (wide, wide), big, dense(exact, rng, wide)),
     ]
+
+
+def widest(idx):
+    """The length of the longest row of a row index."""
+    _, rows = idx
+    return max((len(cols) for cols, _, _ in rows.values()), default=0)
 
 
 def best_us(product, a, b, calls):
@@ -74,7 +82,7 @@ def main(argv=None):
     for label, a, b in operands(_exact, args.wide):
         # A dense case costs about width**2 multiply-adds per row; keep the
         # rounds of the wide ones short.
-        width = max(a[2], b[2])
+        width = max(widest(a), widest(b))
         calls = max(1, args.calls * 27 // max(27, width * width))
         print("%-20s %12.1f us/call  (%d calls)" % (label, best_us(_exact.product, a, b, calls), calls))
     return 0
