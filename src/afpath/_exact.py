@@ -212,6 +212,11 @@ def unit(a, b):
     return 1, {a: ([b], [1], [0])}
 
 
+def identity_on(ids):
+    """The row index of the 0/1 diagonal table ``{(g, g): 1 for g in ids}``, ids increasing."""
+    return (1, {g: ([g], [1], [0]) for g in ids}) if ids else EMPTY
+
+
 EMPTY = (1, {})
 
 

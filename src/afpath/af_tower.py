@@ -19,7 +19,6 @@ from fractions import Fraction
 
 from . import _exact
 from .scalars import SCALAR_TYPES, ZERO, as_scalar
-from .cylinder import indicator_path
 
 
 class AfElement(_exact.PairTable):
@@ -69,7 +68,7 @@ class AfElement(_exact.PairTable):
     @classmethod
     def identity(cls, diagram, level):
         count = len(diagram.terminals(level))
-        return cls._from_index(diagram, level, _exact.diagonal((1, [1] * count, [0] * count)))
+        return cls._from_index(diagram, level, _exact.identity_on(range(count)))
 
     # -- block access ----------------------------------------------------------
 
@@ -224,8 +223,12 @@ def toeplitz_word(diagram, gamma, delta, m=None):
         m = n
     if not n <= m <= d.depth:
         raise ValueError("need n <= m <= depth, got n=%d m=%d" % (n, m))
-    left = represent_cylinder(indicator_path(d, gamma).refine(m))
-    right = represent_cylinder(indicator_path(d, delta).refine(m))
+    # rho(I_gamma) in stage m: the 0/1 diagonal on gamma's extensions.
+    desc = d.descendants(n, m)
+    left, right = (
+        AfElement._from_index(d, m, _exact.identity_on(range(desc[g], desc[g + 1])))
+        for g in (d.path_id(gamma), d.path_id(delta))
+    )
     e_n = jones_projection(d, n, m)
     return d.path_count(gamma.terminal()) * (left * e_n * right)
 

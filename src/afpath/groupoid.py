@@ -12,7 +12,7 @@ changing the function it represents.
 from . import _exact
 from .scalars import SCALAR_TYPES, as_scalar
 from .af_tower import jones_projection
-from .cylinder import constant, indicator_path
+from .cylinder import constant
 
 
 class GroupoidFunction(_exact.PairTable):
@@ -193,18 +193,25 @@ def word_kernel(diagram, gamma, delta):
         raise ValueError("paths have different lengths %d and %d" % (len(gamma), len(delta)))
     n = len(gamma)
     jk = jones_kernel(d, n)
-    word = convolve(convolve(diag(indicator_path(d, gamma)), jk), diag(indicator_path(d, delta)))
+    word = convolve(convolve(_peak(d, n, d.path_id(gamma)), jk), _peak(d, n, d.path_id(delta)))
     return d.path_count(gamma.terminal()) * word
+
+
+def _peak(diagram, m, eta):
+    """diag(I_eta) for a length-m path id eta: the one-entry diagonal kernel at (eta, eta)."""
+    return GroupoidFunction._from_index(diagram, 0, m, _exact.unit(eta, eta))
 
 
 def vanishing_check(F, m):
     """Hunt for a peaked product separating F from zero.
 
-    Convolves F with diag(I_eta) @ jones_kernel(support) for every rooted
-    length-m path eta.  Returns True when F is zero (every product
-    vanishes, as it must); otherwise returns a witness eta whose product is
-    nonzero.  A nonzero F with no witness would contradict the kernel
-    lemma, so that state raises.
+    Convolves F, tabulated at level m, with diag(I_eta) @
+    jones_kernel(support) for the rooted length-m paths eta in increasing
+    id order.  F @ diag(I_eta) is column eta of F, so only the ids of F's
+    nonzero columns are visited: every other product is empty.  Returns
+    True when F is zero (there is no column to visit); otherwise returns
+    the first visited eta whose product is nonzero.  A nonzero F with no
+    witness would contradict the kernel lemma, so that state raises.
     """
     d = F.diagram
     n = F.support_level
@@ -212,10 +219,10 @@ def vanishing_check(F, m):
         raise ValueError("need table_level <= m <= depth, got m=%d" % m)
     Fw = F.widen(n, m)
     jkw = jones_kernel(d, n).widen(n, m)
-    for eta in range(len(d.terminals(m))):
-        # diag(I_eta): the one-entry diagonal kernel at path id eta.
-        peak = GroupoidFunction._from_index(d, 0, m, _exact.unit(eta, eta))
-        product = convolve(convolve(Fw, peak), jkw)
+    # The rows of F's adjoint are F's nonzero columns (Gustavson's
+    # transposed index, ACM TOMS 4, 1978).
+    for eta in sorted(_exact.index_adjoint(Fw._index)[1]):
+        product = convolve(convolve(Fw, _peak(d, m, eta)), jkw)
         if not product.is_zero():
             return d._path_at(m, eta)
     if not Fw.is_zero():

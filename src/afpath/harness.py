@@ -33,7 +33,6 @@ from .cylinder import CylinderFunction, constant, indicator_path, indicator_vert
 from .expectation import class_sum, expect, expect_indicator, quasi_basis_apply, prefix_sum_check
 from .af_tower import (
     AfElement,
-    matrix_unit,
     represent_cylinder,
     jones_projection,
     toeplitz_word,
@@ -444,13 +443,13 @@ def _suite_expectation(ctx, chk, rng):
 
 
 def _units_at(d, n):
-    units = []
-    paths = d.paths(n)
-    for gids in d.block_paths(n):
-        for a in gids:
-            for b in gids:
-                units.append((a, b, matrix_unit(d, paths[a], paths[b])))
-    return units
+    """``(a, b, unit)`` for every same-terminal pair of level-n path ids, block by block."""
+    return [
+        (a, b, AfElement._from_index(d, n, _exact.unit(a, b)))
+        for gids in d.block_paths(n)
+        for a in gids
+        for b in gids
+    ]
 
 
 def _pair(paths, a, b):

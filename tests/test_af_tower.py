@@ -24,6 +24,7 @@ from afpath import (
     random_cylinder,
     Vertex,
 )
+from test_extension_maps import BUILTIN, RANDOM
 
 
 def all_units(d, n):
@@ -259,6 +260,24 @@ def test_toeplitz_word_vanishes_across_blocks(pascal, fibonacci):
         for gamma, delta in mismatched:
             assert toeplitz_word(d, gamma, delta).is_zero()
             assert toeplitz_word(d, gamma, delta, 3).is_zero()
+
+
+def _toeplitz_oracle(d, gamma, delta, m):
+    """The word with rho(I_gamma), rho(I_delta) read off refined full-length indicators."""
+    left = represent_cylinder(indicator_path(d, gamma).refine(m))
+    right = represent_cylinder(indicator_path(d, delta).refine(m))
+    e_n = jones_projection(d, len(gamma), m)
+    return d.path_count(gamma.terminal()) * (left * e_n * right)
+
+
+@pytest.mark.parametrize("d", BUILTIN + RANDOM)
+def test_toeplitz_word_matches_the_indicator_oracle(d):
+    for n in range(4):
+        paths = d.paths(n)
+        for m in (n, n + 1):
+            for gamma in paths:
+                for delta in paths:
+                    assert toeplitz_word(d, gamma, delta, m) == _toeplitz_oracle(d, gamma, delta, m)
 
 
 def test_jones_refinement(car, fibonacci):

@@ -69,6 +69,7 @@ def random_diagram(seed, depth=4):
 
 
 RANDOM = [pytest.param(random_diagram(seed), id="random-%d" % seed) for seed in range(12)]
+BUILTIN = [pytest.param(builtin_diagram(name), id=name) for name in BUILTIN_NAMES]
 SEEDED = [pytest.param(MIXED, id="mixed")] + RANDOM
 
 

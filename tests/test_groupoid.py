@@ -27,8 +27,9 @@ from afpath import (
     FinitePath,
     builtin_diagram,
 )
-from afpath import _exact
-from test_extension_maps import MIXED
+from afpath import _exact, groupoid
+from afpath.harness import random_groupoid_function
+from test_extension_maps import BUILTIN, MIXED, RANDOM
 
 
 def random_kernel(d, support, table, rng):
@@ -321,6 +322,61 @@ def test_vanishing_check_witness_at_deeper_level(fibonacci):
     assert isinstance(w, FinitePath)
     assert len(w) == 3
     assert w.prefix(1) == a
+
+
+def test_vanishing_check_keeps_the_no_witness_guard(monkeypatch, car):
+    # With every peaked product forced to zero, a nonzero kernel has no
+    # witness, and only the guard after the column loop can say so.
+    monkeypatch.setattr(groupoid, "jones_kernel", lambda d, n: GroupoidFunction.zero(d, n, n))
+    a, b = car.paths(2)[:2]
+    with pytest.raises(AssertionError):
+        vanishing_check(represent(matrix_unit(car, a, b)), 2)
+    assert vanishing_check(GroupoidFunction.zero(car, 2, 2), 3) is True
+
+
+def _vanishing_oracle(F, m):
+    """vanishing_check's hunt over every length-m path id, nonzero columns or not."""
+    d = F.diagram
+    n = F.support_level
+    Fw = F.widen(n, m)
+    jkw = jones_kernel(d, n).widen(n, m)
+    for eta in range(len(d.terminals(m))):
+        peak = GroupoidFunction._from_index(d, 0, m, _exact.unit(eta, eta))
+        if not convolve(convolve(Fw, peak), jkw).is_zero():
+            return d._path_at(m, eta)
+    assert Fw.is_zero()
+    return True
+
+
+def _word_oracle(d, gamma, delta):
+    """word_kernel with diag(I_gamma), diag(I_delta) read off full-length indicators."""
+    jk = jones_kernel(d, len(gamma))
+    word = convolve(convolve(diag(indicator_path(d, gamma)), jk), diag(indicator_path(d, delta)))
+    return d.path_count(gamma.terminal()) * word
+
+
+@pytest.mark.parametrize("d", BUILTIN + RANDOM)
+def test_unit_checks_match_the_all_ids_oracles(d):
+    rng = random.Random(16)
+    for n in range(4):
+        paths = d.paths(n)
+        for gamma in paths:
+            for delta in paths:
+                assert word_kernel(d, gamma, delta) == _word_oracle(d, gamma, delta)
+        for gids in d.block_paths(n):
+            for a in gids:
+                for b in gids:
+                    F = represent(matrix_unit(d, paths[a], paths[b]))
+                    assert vanishing_check(F, n) == _vanishing_oracle(F, n) == paths[b]
+        for m in range(n, min(n + 1, d.depth) + 1):
+            kernels = [
+                GroupoidFunction.zero(d, n, m),
+                random_groupoid_function(d, n, m, rng),
+                random_kernel(d, n, m, rng),
+            ]
+            for F in kernels:
+                for deeper in range(m, min(m + 1, d.depth) + 1):
+                    assert vanishing_check(F, deeper) == _vanishing_oracle(F, deeper)
 
 
 def test_vanishing_check_level_bounds(car):

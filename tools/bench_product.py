@@ -5,8 +5,8 @@
 Prints one line per case: the operands' shapes and the microseconds per call
 of ``afpath._exact.product``, the kernel behind ``AfElement.__mul__`` and
 ``convolve``.  The cases are a matrix unit times a matrix unit, a unit times
-a dense 27x27 block, the empty table times a dense 27x27 block (the bulk of
-``vanishing_check``'s products), a dense 27x27 block times a diagonal, and
+a dense 27x27 block, the empty table times a dense 27x27 block (the early
+return on an empty left operand), a dense 27x27 block times a diagonal, and
 dense WxW blocks times dense WxW blocks for W = 27 and W = ``--wide`` (294
 by default: the largest tail class of the 7, 7, 6 file diagram).  Dense entries
 are Gaussian integers with parts in [-108, 108] over a denominator, drawn
