@@ -163,6 +163,24 @@ def class_sums(f, classes, scale=None):
     return reduced(den * big, sums_re, sums_im)
 
 
+def class_average(f, classes, class_of, scale):
+    """``reindex(class_sums(f, classes, scale), class_of)``: each entry
+    replaced by its class's sum (or mean), the loop chosen by the partition.
+
+    With singleton classes the map is the identity; with one class it is
+    one sum of each part spread over every entry (the class's multiplier
+    is 1, its mean the sum over ``den * L``).
+    """
+    if len(classes) == len(class_of):
+        return reduced(*f)
+    if len(classes) == 1:
+        den, res, ims = f
+        den, (re,), (im,) = reduced(den * scale[0] if scale else den, [sum(res)], [sum(ims)])
+        size = len(class_of)
+        return den, [re] * size, [im] * size
+    return reindex(class_sums(f, classes, scale), class_of)
+
+
 # -- pair forms: row indexes ----------------------------------------------------------
 
 

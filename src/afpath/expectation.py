@@ -10,7 +10,7 @@ max(level(f), n).
 from fractions import Fraction
 from math import lcm
 
-from ._exact import class_means, class_sums, reduced, reindex
+from ._exact import class_average, class_means, reduced
 from .cylinder import CylinderFunction, indicator_vertex
 
 
@@ -26,14 +26,17 @@ def expect(f, n):
 
 def _averaged(f, n, mean):
     d = f.diagram
-    d._check_level(n)
     m = max(f.level, n)
+    classes, class_of, scale = d.memo(("averaging", m, n, mean), lambda: _averaging_plan(d, m, n, mean))
+    return CylinderFunction._from_form(d, m, class_average(f._exact_form(m), classes, class_of, scale))
+
+
+def _averaging_plan(d, m, n, mean):
+    """The tail classes and class map of level n on the length-m paths, with
+    the scale that turns class sums into means when ``mean`` is set."""
+    d._check_level(n)
     classes, class_of = d.tail_classes(m, n)
-    # Each class is scaled to its mean in the summing pass; the per-class
-    # form is reduced before it is spread back over the paths.
-    scale = d.memo(("class_means", m, n), lambda: class_means(classes)) if mean else None
-    sums = class_sums(f._exact_form(m), classes, scale)
-    return CylinderFunction._from_form(d, m, reindex(sums, class_of))
+    return classes, class_of, class_means(classes) if mean else None
 
 
 def expect_indicator(diagram, gamma):
@@ -70,8 +73,9 @@ def quasi_basis_apply(f, n):
     parts = []
     for gid, t in enumerate(d.terminals(n)):
         a, b = desc[gid], desc[gid + 1]
-        head, tail = [0] * a, [0] * (len(res) - b)
-        term = (den, head + res[a:b] + tail, head + ims[a:b] + tail)
+        term_res, term_ims = [0] * len(res), [0] * len(res)
+        term_res[a:b], term_ims[a:b] = res[a:b], ims[a:b]
+        term = (den, term_res, term_ims)
         e_den, e_res, e_ims = expect(CylinderFunction._from_form(d, m, term), n)._exact_form()
         parts.append((e_den, counts[t], e_res[a:b], e_ims[a:b]))
     common = lcm(*(e_den for e_den, _, _, _ in parts))

@@ -457,7 +457,15 @@ def _pair(paths, a, b):
     return "%s|%s" % (format_path(paths[a]), format_path(paths[b]))
 
 
-_EXHAUSTIVE_PAIRS = 20000
+# Sample thresholds of the suites.  At or below one, a check covers every
+# case or draws its full sample count; above it, fewer.  A ``_COST`` is an
+# estimated count of multiplications (see the comment at its use).
+_EXHAUSTIVE_PAIRS = 20000  # unit pairs: all ordered pairs, else a sample
+_TOWER_PRODUCT_COST = 30000  # embed products: heavy samples, else a third
+_PROJECTION_SQUARE_COST = 250000  # e_n * e_n: checked, else skipped
+_SANDWICH_FULL_COST = 10000  # projection-averages: all samples
+_SANDWICH_TENTH_COST = 200000  # projection-averages: a tenth, else one
+_WORD_UNITS = 1000  # represent-word: every unit, else a sample
 
 
 def _unit_pairs(units, ctx, rng):
@@ -540,7 +548,7 @@ def _suite_tower(ctx, chk, rng):
         sizes = d._level_counts()[n]
         outdeg = max(len(d.edges_from(v)) for v in d.vertices(n))
         cost = sum(s * s for s in sizes) * max(sizes) * outdeg
-        count = heavy if cost <= 30000 else max(2, heavy // 3)
+        count = heavy if cost <= _TOWER_PRODUCT_COST else max(2, heavy // 3)
         for s in range(count):
             tag = "n=%d;sample=%d" % (n, s)
             x = random_af_element(d, n, rng)
@@ -562,7 +570,7 @@ def _suite_tower(ctx, chk, rng):
         for n in range(m + 1):
             e_n = jones_projection(d, n, m)
             pcost = e_n.nnz() * max(d._level_counts()[n])
-            if pcost <= 250000:
+            if pcost <= _PROJECTION_SQUARE_COST:
                 chk.ok(e_n * e_n == e_n, "projection-idempotent;n=%d;m=%d" % (n, m))
             chk.ok(e_n.adjoint() == e_n, "projection-selfadjoint;n=%d;m=%d" % (n, m))
             if n < m:
@@ -575,9 +583,9 @@ def _suite_tower(ctx, chk, rng):
             # one sandwich costs about nnz(e_n) x class size multiplications;
             # scale the sample count down as that grows
             cost = e_n.nnz() * max(d._level_counts()[n])
-            if cost <= 10000:
+            if cost <= _SANDWICH_FULL_COST:
                 count = ctx.samples
-            elif cost <= 200000:
+            elif cost <= _SANDWICH_TENTH_COST:
                 count = max(1, ctx.samples // 10)
             else:
                 count = 1
@@ -654,7 +662,7 @@ def _suite_groupoid(ctx, chk, rng):
             )
         # the image of a matrix unit must agree with the full convolution
         # word that defines it, not just with the collapsed closed form
-        if len(units) <= 1000:
+        if len(units) <= _WORD_UNITS:
             word_pairs = [(a, b) for a, b, _ in units]
         else:
             word_pairs = [rng.choice(units)[:2] for _ in range(max(48, 2 * ctx.samples))]

@@ -22,6 +22,7 @@ from afpath import (
 from afpath import _exact
 from afpath._exact import (
     EMPTY,
+    class_average,
     class_means,
     class_sums,
     combine,
@@ -433,6 +434,42 @@ def test_class_sums_match_naive(pair, rng):
     got = class_sums(form(f), classes, class_means(classes))
     assert_reduced_form(got)
     assert_same_values(scalar_table(got), means)
+
+
+def partition(rng, size, shape):
+    """``(classes, class_of)`` of a shuffled partition of ``range(size)``:
+    all singletons, one class, or between 2 and size - 1 classes."""
+    ids = list(range(size))
+    rng.shuffle(ids)
+    count = {"singletons": size, "one": 1}.get(shape) or rng.randint(2, size - 1)
+    cut = sorted(rng.sample(range(1, size), count - 1))
+    classes = [tuple(ids[i:j]) for i, j in zip([0] + cut, cut + [size])]
+    class_of = [None] * size
+    for c, cls in enumerate(classes):
+        for g in cls:
+            class_of[g] = c
+    return tuple(classes), tuple(class_of)
+
+
+@pytest.mark.parametrize("shape", ["singletons", "one", "mixed"])
+@given(aligned, st.randoms(use_true_random=False), st.integers(1, 4), st.booleans())
+def test_class_average_matches_the_class_sums_oracle(shape, pair, rng, k, mean):
+    values, _ = pair
+    size = len(values)
+    if shape == "mixed" and size < 3:
+        size, values = 3, (values * 3)[:3]
+    classes, class_of = partition(rng, size, shape)
+    scale = class_means(classes) if mean else None
+    den, res, ims = form(values)
+    # A common factor, and the zero-padded slice of a quasi-basis term.
+    a, b = sorted(rng.sample(range(size + 1), 2))
+    pad = [0] * size
+    padded = (den, pad[:a] + res[a:b] + pad[b:], pad[:a] + ims[a:b] + pad[b:])
+    for f in ((den, res, ims), unreduced((den, res, ims), k), padded):
+        want = reindex(class_sums(f, classes, scale), class_of)
+        got = class_average(f, classes, class_of, scale)
+        assert_reduced_form(got)
+        assert got == want
 
 
 @given(tables, tables, st.integers(1, 4))

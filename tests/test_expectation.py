@@ -21,7 +21,8 @@ from afpath import (
     random_cylinder,
     Vertex,
 )
-from test_extension_maps import MIXED, path_id_diagrams
+from afpath.harness import VerifyConfig, run_suites
+from test_extension_maps import BUILTIN, MIXED, SEEDED, oracle_tail_classes, path_id_diagrams
 
 
 def test_expect_of_edge_indicator_car(car):
@@ -274,9 +275,75 @@ def test_prefix_sum_check_fails_when_expect_is_off_at_one_path(pascal, monkeypat
         assert prefix_sum_check(f, 1, 3) is False
 
 
-def test_level_bounds_checked(car):
-    f = constant(car, 1)
-    with pytest.raises(ValueError):
-        expect(f, 9)
-    with pytest.raises(ValueError):
-        class_sum(f, -1)
+def test_level_bounds_checked():
+    # An out-of-range level raises before any averaging plan is memoized.
+    d = builtin_diagram("car")
+    f = random_cylinder(d, 2, random.Random(73))
+    for op, n in ((expect, -1), (expect, d.depth + 1), (expect, 9), (class_sum, -1), (class_sum, d.depth + 1)):
+        with pytest.raises(ValueError, match="^level %d out of range 0..%d$" % (n, d.depth)):
+            op(f, n)
+    assert not [key for key in d._memo if key[0] == "averaging"]
+
+
+def _class_oracle(f, n):
+    """The class sum and class mean at each path of f's level, in Fractions,
+    over the classes of the path-key oracle."""
+    classes, class_of = oracle_tail_classes(f.diagram, f.level, n)
+    values = f.table
+    sums = [
+        (sum((values[g].re for g in cls), Fraction(0)), sum((values[g].im for g in cls), Fraction(0)))
+        for cls in classes
+    ]
+    means = [(re / len(cls), im / len(cls)) for (re, im), cls in zip(sums, classes)]
+    return tuple(Scalar(*sums[c]) for c in class_of), tuple(Scalar(*means[c]) for c in class_of)
+
+
+@pytest.mark.parametrize("d", BUILTIN + SEEDED)
+def test_expect_and_class_sum_match_a_fraction_oracle_at_every_level_pair(d):
+    rng = random.Random(67)
+    for m in range(min(4, d.depth) + 1):
+        for n in range(m + 1):
+            f = random_cylinder(d, m, rng)
+            sums, means = _class_oracle(f, n)
+            assert class_sum(f, n).table == sums
+            assert expect(f, n).table == means
+
+
+def test_one_averaging_plan_per_level_pair_and_kind():
+    d = builtin_diagram("pascal")
+    f = random_cylinder(d, 3, random.Random(71))
+    for _ in range(2):
+        for n in range(4):
+            expect(f, n)
+            class_sum(f, n)
+    plans = sorted(key for key in d._memo if key[0] == "averaging")
+    assert plans == [("averaging", 3, n, mean) for n in range(4) for mean in (False, True)]
+    assert not [key for key in d._memo if key[0] == "class_means"]
+
+
+def _shape(classes, class_of):
+    if len(classes) == len(class_of):
+        return "singletons"
+    return "one" if len(classes) == 1 else "mixed"
+
+
+@pytest.mark.parametrize(
+    "name, shape",
+    # car: one class at m = n >= 1, singletons at n = 0; pascal: mixed.
+    [("car", "one"), ("car", "singletons"), ("pascal", "mixed")],
+)
+def test_expectation_suite_fails_when_one_partition_shape_is_off_at_one_entry(name, shape, monkeypatch):
+    true_average = expectation.class_average
+    hits = []
+
+    def off(f, classes, class_of, scale):
+        den, res, ims = true_average(f, classes, class_of, scale)
+        if _shape(classes, class_of) != shape:
+            return den, res, ims
+        hits.append(len(class_of))
+        return den, res[:-1] + [res[-1] + den], ims
+
+    monkeypatch.setattr(expectation, "class_average", off)
+    (result,) = run_suites(VerifyConfig(source=name, suites=("expectation",)))
+    assert hits
+    assert not result.passed and result.failure_kind == "counterexample"
