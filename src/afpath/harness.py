@@ -442,14 +442,14 @@ def _suite_expectation(ctx, chk, rng):
                 )
 
 
-def _units_at(d, n):
-    """``(a, b, unit)`` for every same-terminal pair of level-n path ids, block by block."""
-    return [
-        (a, b, AfElement._from_index(d, n, _exact.unit(a, b)))
-        for gids in d.block_paths(n)
-        for a in gids
-        for b in gids
-    ]
+def _unit_ids(d, n):
+    """Every same-terminal pair ``(a, b)`` of level-n path ids, block by block."""
+    return [(a, b) for gids in d.block_paths(n) for a in gids for b in gids]
+
+
+def _unit(d, n, a, b):
+    """The matrix unit of the level-n path ids a and b."""
+    return AfElement._from_index(d, n, _exact.unit(a, b))
 
 
 def _pair(paths, a, b):
@@ -468,46 +468,45 @@ _SANDWICH_TENTH_COST = 200000  # projection-averages: a tenth, else one
 _WORD_UNITS = 1000  # represent-word: every unit, else a sample
 
 
-def _unit_pairs(units, ctx, rng):
-    """All ordered unit pairs when that is cheap, else a seeded sample.
+def _unit_pairs(d, n, ids, ctx, rng):
+    """``(a, b, unit)`` pairs: all ordered pairs of the level's units when that
+    is cheap, else a seeded sample.
 
     The sample draws half its pairs uniformly and half composable (middle
     indices agreeing), so the nonzero branch of the product rule is
-    exercised even when matching pairs are rare.
+    exercised even when matching pairs are rare.  Only the units it returns
+    are built.
     """
-    if len(units) * len(units) <= _EXHAUSTIVE_PAIRS:
+    if len(ids) * len(ids) <= _EXHAUSTIVE_PAIRS:
+        units = [(a, b, _unit(d, n, a, b)) for a, b in ids]
         return [(x, y) for x in units for y in units]
-    by_row = {}
-    for item in units:
-        by_row.setdefault(item[0], []).append(item)
+    blocks, terminals = d.block_paths(n), d.terminals(n)
     count = max(100, 13 * ctx.samples)
-    pairs = []
+    drawn = [(rng.choice(ids), rng.choice(ids)) for _ in range(count)]
     for _ in range(count):
-        pairs.append((rng.choice(units), rng.choice(units)))
-    for _ in range(count):
-        x = rng.choice(units)
-        pairs.append((x, rng.choice(by_row[x[1]])))
-    return pairs
+        a, b = rng.choice(ids)
+        drawn.append(((a, b), (b, rng.choice(blocks[terminals[b]]))))
+    return [((a, b, _unit(d, n, a, b)), (c, e, _unit(d, n, c, e))) for (a, b), (c, e) in drawn]
 
 
 def _suite_matrix_units(ctx, chk, rng):
     d = ctx.diagram
     for n in range(ctx.top + 1):
-        paths = d.paths(n)
-        units = _units_at(d, n)
-        unit_map = {(a, b): u for a, b, u in units}
+        paths, terminals = d.paths(n), d.terminals(n)
+        ids = _unit_ids(d, n)
         zero = AfElement.zero(d, n)
         total = AfElement.zero(d, n)
-        for a, b, u in units:
+        for a, b in ids:
+            u = _unit(d, n, a, b)
             if a == b:
                 total = total + u
             chk.ok(
-                u.adjoint() == unit_map[(b, a)],
+                u.adjoint() == _unit(d, n, b, a),
                 lambda a=a, b=b: "adjoint;n=%d;pair=%s" % (n, _pair(paths, a, b)),
             )
         chk.ok(total == AfElement.identity(d, n), "diagonal-partition;n=%d" % n)
-        for (a, b, u1), (c, e, u2) in _unit_pairs(units, ctx, rng):
-            expected = unit_map[(a, e)] if b == c else zero
+        for (a, b, u1), (c, e, u2) in _unit_pairs(d, n, ids, ctx, rng):
+            expected = _unit(d, n, a, e) if b == c else zero
             chk.ok(
                 u1 * u2 == expected,
                 lambda a=a, b=b, c=c, e=e: "product-rule;n=%d;pairs=%s*%s"
@@ -516,15 +515,16 @@ def _suite_matrix_units(ctx, chk, rng):
         for a in range(len(paths)):
             for b in range(len(paths)):
                 # The units are exactly the same-terminal pairs.
+                expected = _unit(d, n, a, b) if terminals[a] == terminals[b] else zero
                 chk.ok(
-                    toeplitz_word(d, paths[a], paths[b], n) == unit_map.get((a, b), zero),
+                    toeplitz_word(d, paths[a], paths[b], n) == expected,
                     lambda a=a, b=b: "word-recovery;n=%d;pair=%s" % (n, _pair(paths, a, b)),
                 )
         if n < d.depth:
             m2 = n + 1
-            for a, b, u in units[:6]:
+            for a, b in ids[:6]:
                 chk.ok(
-                    toeplitz_word(d, paths[a], paths[b], m2) == u.embed_to(m2),
+                    toeplitz_word(d, paths[a], paths[b], m2) == _unit(d, n, a, b).embed_to(m2),
                     lambda a=a, b=b: "word-embedded;n=%d;pair=%s" % (n, _pair(paths, a, b)),
                 )
 
@@ -650,47 +650,46 @@ def _suite_groupoid(ctx, chk, rng):
             )
     for n in range(n_max + 1):
         paths = d.paths(n)
-        units = _units_at(d, n)
-        psi_map = {(a, b): represent(u) for a, b, u in units}
+        ids = _unit_ids(d, n)
         chk.ok(represent(AfElement.identity(d, n)) == one, "represent-unital;n=%d" % n)
-        for a, b, u in units:
-            img = psi_map[(a, b)]
+        for a, b in ids:
+            img = represent(_unit(d, n, a, b))
             chk.ok(not img.is_zero(), lambda a=a, b=b: "represent-injective;n=%d;pair=%s" % (n, _pair(paths, a, b)))
             chk.ok(
-                img.adjoint() == psi_map[(b, a)],
+                img.adjoint() == represent(_unit(d, n, b, a)),
                 lambda a=a, b=b: "represent-star;n=%d;pair=%s" % (n, _pair(paths, a, b)),
             )
         # the image of a matrix unit must agree with the full convolution
         # word that defines it, not just with the collapsed closed form
-        if len(units) <= _WORD_UNITS:
-            word_pairs = [(a, b) for a, b, _ in units]
+        if len(ids) <= _WORD_UNITS:
+            word_pairs = ids
         else:
-            word_pairs = [rng.choice(units)[:2] for _ in range(max(48, 2 * ctx.samples))]
+            word_pairs = [rng.choice(ids) for _ in range(max(48, 2 * ctx.samples))]
         for a, b in word_pairs:
             chk.ok(
-                psi_map[(a, b)] == word_kernel(d, paths[a], paths[b]),
+                represent(_unit(d, n, a, b)) == word_kernel(d, paths[a], paths[b]),
                 lambda a=a, b=b: "represent-word;n=%d;pair=%s" % (n, _pair(paths, a, b)),
             )
-        for (a, b, u1), (c, e, u2) in _unit_pairs(units, ctx, rng):
+        for (a, b, u1), (c, e, u2) in _unit_pairs(d, n, ids, ctx, rng):
             chk.ok(
-                convolve(psi_map[(a, b)], psi_map[(c, e)]) == represent(u1 * u2),
+                convolve(represent(u1), represent(u2)) == represent(u1 * u2),
                 lambda a=a, b=b, c=c, e=e: "represent-multiplicative;n=%d;pairs=%s*%s"
                 % (n, _pair(paths, a, b), _pair(paths, c, e)),
             )
         if n < ctx.top:
-            for a, b, u in units:
+            for a, b in ids:
+                u = _unit(d, n, a, b)
                 chk.ok(
-                    represent(u.embed()) == psi_map[(a, b)].widen(n + 1, n + 1),
+                    represent(u.embed()) == represent(u).widen(n + 1, n + 1),
                     lambda a=a, b=b: "represent-embed;n=%d;pair=%s" % (n, _pair(paths, a, b)),
                 )
-    n = n_max
-    paths = d.paths(n)
+    # ids, n and paths are those of the last level, n_max
     chk.ok(
         vanishing_check(GroupoidFunction.zero(d, n, n), ctx.deep) is True,
         "vanishing-zero;n=%d" % n,
     )
-    for a, b, u in _units_at(d, n):
-        witness = vanishing_check(represent(u), n)
+    for a, b in ids:
+        witness = vanishing_check(represent(_unit(d, n, a, b)), n)
         chk.ok(
             witness == paths[b],
             lambda a=a, b=b: "vanishing-witness;n=%d;pair=%s" % (n, _pair(paths, a, b)),

@@ -2,6 +2,7 @@
 
 import gc
 import random
+import tracemalloc
 import weakref
 
 import pytest
@@ -13,6 +14,7 @@ from afpath import (
     VerifyConfig,
     SUITE_NAMES,
     builtin_diagram,
+    matrix_unit,
     random_cylinder,
     run_suites,
     render_report,
@@ -22,6 +24,9 @@ from afpath.harness import (
     _random_numerators,
     MAX_ENTRIES_VAR,
     DEFAULT_MAX_ENTRIES,
+    _Context,
+    _unit_ids,
+    _unit_pairs,
     estimate_max_table,
     max_entries_cap,
     resolve_diagram,
@@ -45,6 +50,19 @@ incidence 0
 1
 incidence 1
 1 0
+"""
+
+# One vertex per level with 7, 7 and 6 parallel edges: one block of 7, 49
+# and 294 paths at levels 1, 2 and 3.
+WIDE_776 = """BRATTELI 1
+levels 3
+vertices 1 1 1 1
+incidence 0
+7
+incidence 1
+7
+incidence 2
+6
 """
 
 
@@ -249,3 +267,45 @@ def test_a_verified_diagram_is_freed_by_reference_counting():
         assert ref() is None
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("suite, bound_mb", [("matrix_units", 1.0), ("groupoid", 2.5)])
+def test_unit_suites_build_each_unit_where_they_read_it(tmp_path, suite, bound_mb):
+    # At depth 2 the 49-path block has 2,401 units.  Suites that hold a
+    # table of every unit of a level peak at about 1.8 MB (matrix_units)
+    # and 4.1 MB (groupoid) here; building each unit at its check keeps
+    # them at about 0.5 and 1.2 MB.
+    p = tmp_path / "d776.bratteli"
+    p.write_text(WIDE_776)
+    config = VerifyConfig(str(p), depth=2, samples=5, suites=(suite,))
+    d = resolve_diagram(config)
+    tracemalloc.start()
+    try:
+        results = run_suites(config, d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [r.passed for r in results] == [True]
+    assert peak < bound_mb * 2**20
+
+
+def test_sampled_unit_pairs_draw_as_a_row_index_of_the_units_would():
+    # Pascal's level 5 has blocks of 1, 5, 10, 10, 5 and 1 paths: 252 units,
+    # too many to pair exhaustively.  The composable half draws the second
+    # unit from the first unit's column, in block order.
+    d = builtin_diagram("pascal", 5)
+    ids = _unit_ids(d, 5)
+    got = _unit_pairs(d, 5, ids, _Context(d, VerifyConfig("pascal", samples=3)), random.Random(1))
+    rng = random.Random(1)
+    by_row = {}
+    for a, b in ids:
+        by_row.setdefault(a, []).append((a, b))
+    want = [(rng.choice(ids), rng.choice(ids)) for _ in range(100)]
+    for _ in range(100):
+        x = rng.choice(ids)
+        want.append((x, rng.choice(by_row[x[1]])))
+    assert [((a, b), (c, e)) for (a, b, _), (c, e, _) in got] == want
+    paths = d.paths(5)
+    for x, y in got:
+        for a, b, u in (x, y):
+            assert u == matrix_unit(d, paths[a], paths[b])
