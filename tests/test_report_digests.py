@@ -188,3 +188,122 @@ def test_random_diagram_suites_draw_the_same_samples(seed, tmp_path, monkeypatch
     monkeypatch.chdir(tmp_path)
     got = _draw_digest(monkeypatch, capsys, [name, "--depth", "3", "--samples", "5"])
     assert got == RANDOM_DRAW_DIGESTS[seed]
+
+
+# -- which elements the draws pick ------------------------------------------------
+#
+# The RNG state after a suite shows how much randomness it consumed, not
+# what it did with it: a draw that reads a block in reverse consumes the
+# same.  These pins hash, per suite, every value the harness's random
+# builders return and every unit pair ``_unit_pairs`` draws.  They were
+# recorded before the level tables that feed those draws (``terminals``,
+# ``block_paths``, ``tail_classes``) were rebuilt on C iterators.
+
+_DRAWERS = ("_unit_pairs", "random_cylinder", "random_af_element", "random_groupoid_function")
+
+
+def _picked(name, value):
+    """What a draw picked, in a form that does not depend on the table layout."""
+    if name == "_unit_pairs":
+        return [(a, b, c, e) for (a, b, _), (c, e, _) in value]
+    if name == "random_cylinder":
+        return value.level, [x.to_report() for x in value.table]
+    levels = (value.level,) if name == "random_af_element" else (value.support_level, value.table_level)
+    return levels, sorted((ab, x.to_report()) for ab, x in value.table.items())
+
+
+def _pick_digests(monkeypatch, capsys, argv):
+    """Per suite, the sha256 of everything its draws picked, in draw order."""
+    picks, suite = {}, [None]
+
+    def wrap_suite(name, body):
+        def run(ctx, chk, rng):
+            suite[0] = name
+            body(ctx, chk, rng)
+        return run
+
+    def wrap_draw(name, draw):
+        def run(*args):
+            value = draw(*args)
+            picks.setdefault(suite[0], []).append((name, _picked(name, value)))
+            return value
+        return run
+
+    for name, body in list(harness._SUITE_FUNCTIONS.items()):
+        monkeypatch.setitem(harness._SUITE_FUNCTIONS, name, wrap_suite(name, body))
+    for name in _DRAWERS:
+        monkeypatch.setattr(harness, name, wrap_draw(name, getattr(harness, name)))
+    assert main(["verify"] + argv) == 0
+    assert capsys.readouterr().out.endswith("RESULT PASS\n")
+    return {name: hashlib.sha256(repr(got).encode()).hexdigest() for name, got in picks.items()}
+
+
+# argv after ``verify`` -> {suite: digest of its picks}.
+PICK_DIGESTS = {
+    ('car', '--depth', '3', '--samples', '5'): {
+        'cylinder': '3d4879782a7c1cd126a06d741925e0688245b1b5d44954e468002c1dd59e8139',
+        'expectation': '250a9091a83fdc83c07f6311539726fd909aaf660548be9a9f7a23d01e0d758c',
+        'matrix_units': '35db16588530578631c513fbb992f909f4fc90e3189ffdd6d37f4d4001c37b53',
+        'tower': '3a6c1ce1d75b0a8011a5d8cef2884fa726a5638d5cb306256167bcaf38573757',
+        'groupoid': '8c40c7b13be8f88adbfd3a46b02285d5aabcee4c85784148ef517ae16fce0c27',
+    },
+    ('pascal', '--depth', '3', '--samples', '5'): {
+        'cylinder': '3d4879782a7c1cd126a06d741925e0688245b1b5d44954e468002c1dd59e8139',
+        'expectation': '250a9091a83fdc83c07f6311539726fd909aaf660548be9a9f7a23d01e0d758c',
+        'matrix_units': '4d33cbe74956acf7ff0c901529ab34ba4faa9839115cab77d5fdb09012525538',
+        'tower': 'faf8a6e9596377b7cf1fdf74e0a7e4ef8a6dda3aad575280eea957317668fcac',
+        'groupoid': '3682a7af8eb724bc68c9097403c7d4f4522eee4d83473563ccba86c0b25d0088',
+    },
+    ('fibonacci', '--depth', '3', '--samples', '5'): {
+        'cylinder': '04e4fc0ed028cca00dcd1c08662aa7318d669b9280cb3d71015a0f3ab4301fa7',
+        'expectation': '0423cb61ac23e08046c969d8d7b68c77e7ecc8c4661ac52a3e1c1566a80460f9',
+        'matrix_units': 'b58766d036bd03018f6d206bc7dda80e788d23c3727858f0db00aaa1259f8ef6',
+        'tower': '0b0b923f3f1220186b7280b949f38bb1e461168f0987611ad516d26bf54b73f0',
+        'groupoid': '569e5d73e14c7cd933daf3f06f89f4c1a38731720d73b89d526ce6431932561f',
+    },
+    ('uhf3', '--depth', '3', '--samples', '5'): {
+        'cylinder': '1ac81de993b7e8239b93bb87b5d34df448b453d013ff0956f8d784fcf702d14c',
+        'expectation': '915178f795f609f782e55a7d2ecf6c099736bd0e417c9ea81c6c5a327906e0b3',
+        'matrix_units': 'cb73e05090d95ad3c92a00b884a3b68b567ec69e210b283e0b2d9ba5743e37d2',
+        'tower': '4cd5cc2cb319e52b5e4baf918663e7dec99e2cf0670ce8ec62cabb33354f2941',
+        'groupoid': '2d7a6275b923835a52d691e3e71f95ce3dbeaf425e35f9386c2956ad18867259',
+    },
+    ('random-0.bratteli', '--depth', '3', '--samples', '5'): {
+        'cylinder': '801f4f2c98eadedd036317090eea12437d94c70178b5be9b3049ba062ccbdc32',
+        'expectation': 'f6e84d8423959810298d5969e9e4c4b6b10e97721080610536f2e51f55e596d1',
+        'matrix_units': '2a57d6075894d9b870a8201aa8fe5247f0d035540b11deeb94a7c7529b1321e3',
+        'tower': '116b046e6377d940caba0dad6b853930e38e10bacbfc27f61d742986d67e52e6',
+        'groupoid': 'fb65ff311e4485cd260b654b18a99fc6a497b8e50f32803316f0f315a5061946',
+    },
+    ('random-1.bratteli', '--depth', '3', '--samples', '5'): {
+        'cylinder': '525160c186c3b62390872a24c6583fdeaa812554bd44d7637b069a9d10f61aa0',
+        'expectation': '818f7543bb62e6b38fc7d88a1a06b3d3bad8205d972df5c59b7b940e11bca46a',
+        'matrix_units': '170430576f9cbb87cc340f52f57cf597b099a3685fe90ccc6a8b2c75b3bdf109',
+        'tower': '0f19730fbcdfd3ef276ba60c8d5030ec78ea140c2bd06162cf5d6ecf95a868b1',
+        'groupoid': '14dfa7fadc5d2fe5eba44b990a515fadda492c90dc48602b864fba792ff1ec6b',
+    },
+    ('random-7.bratteli', '--depth', '3', '--samples', '5'): {
+        'cylinder': 'ec51ae6ab43be00ae35cadb2a6ccb9e7f0eb1dab5556486b9471af4c5b9ab0fa',
+        'expectation': 'ceb998cc1d93fb51b8858972410228cac50cb5bf98bcfb8fbecde0e9c71a7dbc',
+        'matrix_units': '22f7d6ebaadb1f23e2a77031d7cdf74da9f73e9635b2b365189e5c9d7a79729f',
+        'tower': 'd386d7d5a7d5f981fb71a618da565eb0d80b1d643560fc74eb00e4d1005a344a',
+        'groupoid': '7134c2deb1e0172456cd9e2645f57b554a06687124c5cfc54dd96c1c7735973c',
+    },
+    ('random-10.bratteli', '--depth', '3', '--samples', '5'): {
+        'cylinder': '444020919fcfc1af303bda474122af8b6bd1d428d9b286cb0052c7a0eadd764d',
+        'expectation': 'f84556fa1ce2f634041799e1a0f2be409fa768463dfb774f61b2cb26eeb4fd11',
+        'matrix_units': 'bade0d6e55610bf8935239563b831655cb7a84469b8b751cdaefc11fb4068fdd',
+        'tower': '2d9bee1994fe9081a855d4b22a1415221db9b87712510af271e2c23b2d3fa955',
+        'groupoid': 'b9b19a928332f08dc51eff05e82feae8d14e1b7c9ea98934093744582dee8741',
+    },
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PICK_DIGESTS), ids=lambda argv: argv[0])
+def test_suites_pick_the_same_elements(argv, tmp_path, monkeypatch, capsys):
+    source = argv[0]
+    if source.startswith("random-"):
+        seed = int(source[len("random-"):].split(".")[0])
+        (tmp_path / source).write_text(serialize_diagram(random_diagram(seed)))
+        monkeypatch.chdir(tmp_path)
+    assert _pick_digests(monkeypatch, capsys, list(argv)) == PICK_DIGESTS[argv]
