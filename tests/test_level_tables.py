@@ -172,6 +172,7 @@ def test_extend_index_matches_the_loop_on_diagram_offsets(d):
 INVALID = {
     "negative-multiplicity": ((1, 2, 2), [[[1, -1]], [[1, 0], [0, 1]]]),
     "no-positive-entry": ((1, 2, 2), [[[1, 1]], [[1, 1], [-2, 0]]]),
+    "dead-end": ((1, 2, 2), [[[1, 1]], [[1, 1], [0, 0]]]),
     "unfed-vertex": ((1, 2, 2), [[[1, 0]], [[1, 1], [0, 1]]]),
     "empty-level": ((1, 0, 1), [[[]], []]),
     "two-roots": ((2, 1), [[[1], [1]]]),
@@ -184,6 +185,14 @@ def test_validate_matches_the_loop_on_invalid_diagrams(name):
     d = BratteliDiagram(*INVALID[name])
     got = d.validate()
     assert got and got == loop_validate(d)
+
+
+@pytest.mark.parametrize("name", ["dead-end", "empty-level", "two-roots", "unfed-vertex"])
+def test_level_tables_match_the_loops_on_invalid_diagrams_without_negative_entries(name):
+    # A vertex with no path down to level m gives empty extension ranges,
+    # so it owns no class; an empty level has no paths at all.
+    d = BratteliDiagram(*INVALID[name])
+    _check_tables(d, [(m, n) for m in range(d.depth + 1) for n in range(m + 1)])
 
 
 def test_validate_reports_negative_entries_before_the_vertices_they_leave_bare():

@@ -196,8 +196,8 @@ def test_random_diagram_suites_draw_the_same_samples(seed, tmp_path, monkeypatch
 # what it did with it: a draw that reads a block in reverse consumes the
 # same.  These pins hash, per suite, every value the harness's random
 # builders return and every unit pair ``_unit_pairs`` draws.  They were
-# recorded before the level tables that feed those draws (``terminals``,
-# ``block_paths``, ``tail_classes``) were rebuilt on C iterators.
+# recorded before ``terminals`` and ``tail_classes``, which feed those draws
+# directly and through ``block_paths``, were rebuilt on C iterators.
 
 _DRAWERS = ("_unit_pairs", "random_cylinder", "random_af_element", "random_groupoid_function")
 

@@ -57,7 +57,6 @@ def _pairs(d):
 def _warm(d, pairs):
     for n, m in pairs:
         d.descendants(n, m)
-    return d
 
 
 def cases(afpath):
