@@ -18,6 +18,7 @@ import math
 from fractions import Fraction
 
 from . import _exact
+from .diagram import Vertex
 from .scalars import SCALAR_TYPES, ZERO, as_scalar
 
 
@@ -83,6 +84,7 @@ class AfElement(_exact.PairTable):
         return tuple(out)
 
     def block_size(self, v):
+        self.diagram._check_vertex(Vertex(self.level, v))
         return len(self.diagram.block_paths(self.level)[v])
 
     def entry(self, gamma, delta):
@@ -110,6 +112,7 @@ class AfElement(_exact.PairTable):
         return rows
 
     def trace_block(self, v):
+        self.diagram._check_vertex(Vertex(self.level, v))
         den, rows = self._index
         terminals = self.diagram.terminals(self.level)
         total_re = total_im = 0
@@ -272,18 +275,36 @@ def embed_multiplicities(diagram, n):
     Entry (v, w) counts how many copies of block v land inside block w one
     level down, measured as the trace of the embedded diagonal elementary
     matrix.  For a valid diagram this reproduces the incidence matrix.
+
+    Each unit sits at the first path into its vertex, and everything is
+    computed per path id: the unit's two offsets rank the first extensions
+    of its id and the next, and each row of the image finds its terminal by
+    unranking.  So no level table is built, and the cost grows with the
+    depth times the vertices, not with the number of paths.
     """
     d = diagram
     if not 0 <= n < d.depth:
         raise ValueError("level %d has no embedding (depth %d)" % (n, d.depth))
+    count_n, count_next = map(sum, d._level_counts()[n : n + 2])
+    width = d.vertex_counts[n + 1]
     rows = []
-    terminals = d.terminals(n)
-    for v in range(d.vertex_counts[n]):
-        first = terminals.index(v)  # the first path id into v
-        image = AfElement._from_index(d, n, _exact.unit(first, first)).embed()
+    for v, path in enumerate(d._first_paths(n)):
+        if path is None:
+            raise ValueError("no path reaches %r" % Vertex(n, v))
+        first = d._rank(n, path)
+        after = d._rank(n + 1, d._path_at(n, first + 1)) if first + 1 < count_n else count_next
+        offsets = {first: d._rank(n + 1, path), first + 1: after}
+        den, image = _exact.extend_index(_exact.unit(first, first), offsets)
+        # The diagonal of the image, summed by the terminal of each row.
+        res, ims = [0] * width, [0] * width
+        for a, (cols, re, im) in image.items():
+            if a in cols:
+                k = cols.index(a)
+                w = d._path_at(n + 1, a).terminal().index
+                res[w] += re[k]
+                ims[w] += im[k]
         row = []
-        for w in range(d.vertex_counts[n + 1]):
-            t = image.trace_block(w)
+        for t in _exact.scalar_table((den, res, ims)):
             if t.im or t.re.denominator != 1:
                 raise AssertionError("non-integral multiplicity trace %r" % t)
             row.append(int(t.re))

@@ -416,6 +416,7 @@ class BratteliDiagram:
         """The length-m path with id gid, built without enumerating level m:
         from the root, each edge covers as many ids as there are paths from
         its target down to level m."""
+        self._check_level(m)
         down = self.memo(("down_counts", m), lambda: self._down_counts(0, m))
         if not 0 <= gid < down[0][0]:
             raise ValueError("path id %d out of range for level %d" % (gid, m))
@@ -429,6 +430,62 @@ class BratteliDiagram:
             edges.append(Edge(k, v, j, gid // size))
             gid, v = gid % size, j
         return FinitePath(edges)
+
+    def _rank(self, m, path):
+        """The level-m id of the first length-m extension of a path of length
+        n <= m, the inverse of ``_path_at`` at m = n: each edge skips the ids
+        of the edges before it, as many per edge as there are paths from its
+        target down to level m.  At m > n this is
+        ``descendants(n, m)[path_id(path)]``."""
+        self._check_level(m)
+        if len(path) > m:
+            raise ValueError("a path of length %d has no extension to level %d" % (len(path), m))
+        down = self.memo(("down_counts", m), lambda: self._down_counts(0, m))
+        gid = 0
+        for e in path:
+            for j, x in self._rows[e.level][e.source]:
+                if j == e.target:
+                    break
+                gid += x * down[e.level + 1][j]
+            else:  # no edge to e.target
+                x = 0
+            if not 0 <= e.copy < x:
+                raise ValueError("%r is not a path of this diagram" % (path,))
+            gid += e.copy * down[e.level + 1][j]
+        return gid
+
+    def _first_paths(self, n):
+        """The first rooted path into each level-n vertex, in vertex order,
+        or None for a vertex no path reaches, as an iterator that builds one
+        path at a time.  The first path into u extends the first path of u's
+        earliest predecessor by that predecessor's first edge into u.  So one
+        pass down the levels, taking each level's vertices in the order of
+        their first paths, finds every vertex's predecessor, and no level is
+        enumerated."""
+        self._check_level(n)
+        order, parents = [0], []
+        for k in range(n):
+            parent = [None] * self.vertex_counts[k + 1]
+            reached = []
+            for p in order:
+                for j, x in self._rows[k][p]:
+                    if x > 0 and parent[j] is None:
+                        parent[j] = p
+                        reached.append(j)
+            parents.append(parent)
+            order = reached
+
+        def first(v):
+            edges = []
+            for k in reversed(range(n)):
+                p = parents[k][v]
+                if p is None:
+                    return None
+                edges.append(Edge(k, p, v, 0))
+                v = p
+            return FinitePath(reversed(edges)) if v == 0 else None
+
+        return map(first, range(self.vertex_counts[n]))
 
     def children(self, n):
         """Where the one-edge extensions of each length-n path sit in paths(n+1).

@@ -22,9 +22,13 @@ from afpath import (
     represent_cylinder,
     toeplitz_word,
     random_cylinder,
+    BratteliDiagram,
+    VerifyConfig,
     Vertex,
+    builtin_diagram,
+    run_suites,
 )
-from test_extension_maps import BUILTIN, RANDOM
+from test_extension_maps import BUILTIN, RANDOM, random_diagram
 
 
 def all_units(d, n):
@@ -195,6 +199,40 @@ def test_embed_multiplicities_match_incidence(builtins):
     for d in builtins.values():
         for n in range(d.depth):
             assert embed_multiplicities(d, n) == d.incidence[n]
+
+
+def test_block_access_rejects_vertices_outside_the_level(fibonacci):
+    e = AfElement.identity(fibonacci, 3)
+    for v in (7, -1, 2):
+        for read in (e.trace_block, e.block_size, e.dense_block):
+            with pytest.raises(ValueError, match=r"Vertex\(3, %d\) does not exist \(level has 2 vertices\)" % v):
+                read(v)
+
+
+@pytest.mark.parametrize(
+    "make, n",
+    # fibonacci level 2 has two vertices; random-3 is a seeded file-like
+    # diagram with parallel edges and several vertices per level.
+    [pytest.param(lambda: builtin_diagram("fibonacci"), 2, id="fibonacci"),
+     pytest.param(lambda: random_diagram(3), 2, id="random-3")],
+)
+def test_tower_suite_fails_when_rank_is_off_for_one_first_path(make, n, monkeypatch):
+    d = make()
+    target = list(d._first_paths(n))[-1]
+    true_rank = BratteliDiagram._rank
+    hits = []
+
+    def off(self, m, path):
+        if path != target:
+            return true_rank(self, m, path)
+        hits.append(m)
+        return true_rank(self, m, path) + 1
+
+    monkeypatch.setattr(BratteliDiagram, "_rank", off)
+    (result,) = run_suites(VerifyConfig(source="fibonacci", suites=("tower",)), d)
+    assert hits
+    assert not result.passed and result.failure_kind == "counterexample"
+    assert result.counterexample == "realized-multiplicity;n=%d" % n
 
 
 def test_dimension_vector(car, pascal):

@@ -12,6 +12,8 @@ from afpath import (
     AfElement,
     BratteliDiagram,
     CylinderFunction,
+    Edge,
+    FinitePath,
     GroupoidFunction,
     Scalar,
     builtin_diagram,
@@ -19,6 +21,7 @@ from afpath import (
     constant,
     embed_multiplicities,
     expect,
+    format_path,
     jones_kernel,
     jones_projection,
     matrix_unit,
@@ -154,6 +157,122 @@ def test_id_level_operations_enumerate_no_paths(monkeypatch, capsys):
     assert cli.main(["embed-matrix", "car", "--depth", "30", "--level", "12"]) == 0
     assert capsys.readouterr().out.endswith("match=yes\n")
     assert _path_keys(built[0]) == []
+
+
+def _level_table_keys_above(d, level):
+    kinds = ("terminals", "descendants", "block_paths", "paths", "path_index")
+    return sorted(key for key in d._memo if key[0] in kinds and max(key[1:]) > level)
+
+
+@pytest.mark.parametrize("name, depth, level", [("car", 30, 29), ("pascal", 300, 60)])
+def test_embed_multiplicities_builds_no_level_table(name, depth, level):
+    d = builtin_diagram(name, depth)
+    assert embed_multiplicities(d, level) == d.incidence[level]
+    assert _level_table_keys_above(d, 2) == []
+
+
+def oracle_embed_multiplicities(d, n):
+    """The enumerating form: the unit at ``terminals(n).index(v)`` embedded
+    through the whole ``children(n)`` map and traced through the whole
+    ``terminals(n + 1)`` tuple."""
+    terminals = d.terminals(n)
+    rows = []
+    for v in range(d.vertex_counts[n]):
+        first = terminals.index(v)
+        image = AfElement._from_index(d, n, _exact.unit(first, first)).embed()
+        traces = [image.trace_block(w) for w in range(d.vertex_counts[n + 1])]
+        assert all(not t.im and t.re.denominator == 1 for t in traces)
+        rows.append(tuple(int(t.re) for t in traces))
+    return tuple(rows)
+
+
+def _check_embed_multiplicities(d):
+    for n in range(d.depth):
+        assert embed_multiplicities(d, n) == oracle_embed_multiplicities(d, n) == d.incidence[n]
+
+
+@pytest.mark.parametrize("d", BUILTIN + SEEDED)
+def test_embed_multiplicities_match_the_enumerating_oracle(d):
+    _check_embed_multiplicities(d)
+
+
+@pytest.mark.parametrize("name, depth", [("car", 19), ("fibonacci", 13), ("pascal", 13), ("uhf3", 13)])
+def test_embed_multiplicities_match_the_enumerating_oracle_on_deep_levels(name, depth):
+    # Built here, not at collection, so the oracle's level tables (about
+    # 40 MB for uhf3 level 13) are freed after the test.
+    _check_embed_multiplicities(builtin_diagram(name, depth))
+
+
+def rank_diagram(name):
+    """A built-in at depth 8, or MIXED, or a seeded random diagram."""
+    if name in BUILTIN_NAMES:
+        return builtin_diagram(name, 8)
+    return MIXED if name == "mixed" else random_diagram(int(name.split("-")[1]))
+
+
+RANK_NAMES = list(BUILTIN_NAMES) + ["mixed"] + ["random-%d" % seed for seed in range(12)]
+
+
+@pytest.mark.parametrize("name", RANK_NAMES)
+def test_rank_is_the_path_id_and_the_first_descendant(name):
+    d = rank_diagram(name)
+    for n in range(d.depth + 1):
+        for gid, p in enumerate(d.paths(n)):
+            assert d._rank(n, p) == d.path_id(p) == gid
+            for m in range(n + 1, d.depth + 1):
+                assert d._rank(m, p) == d.descendants(n, m)[gid]
+
+
+@pytest.mark.parametrize("name", RANK_NAMES)
+def test_first_path_into_each_vertex_ranks_to_its_first_id(name):
+    d = rank_diagram(name)
+    for n in range(d.depth + 1):
+        terminals = d.terminals(n)
+        firsts = list(d._first_paths(n))
+        assert len(firsts) == d.vertex_counts[n]
+        for v, p in enumerate(firsts):
+            assert d._rank(n, p) == terminals.index(v)
+            assert p == d.paths(n)[terminals.index(v)]
+
+
+@pytest.mark.parametrize(
+    "counts, rows, firsts",
+    [
+        # two roots: paths start at root 0, so root 1 has none
+        ((2, 1), [[[1], [1]]], [["()", None], ["0>0#0"]]),
+        # vertex 1 of level 1 is unfed, so only level-2 vertex 0's path via 0 exists
+        ((1, 2, 2), [[[1, 0]], [[1, 1], [0, 1]]], [["()"], ["0>0#0", None], ["0>0#0;0>0#0", "0>0#0;0>1#0"]]),
+        # level-2 vertex 1's first path passes level-1 vertex 0, so it comes
+        # before level-2 vertex 0 and is level-3 vertex 0's earliest predecessor
+        ((1, 2, 2, 2), [[[1, 1]], [[0, 1], [1, 0]], [[1, 1], [1, 0]]],
+         [["()"], ["0>0#0", "0>1#0"], ["0>1#0;1>0#0", "0>0#0;0>1#0"],
+          ["0>0#0;0>1#0;1>0#0", "0>1#0;1>0#0;0>1#0"]]),
+    ],
+    ids=["two-roots", "unfed-vertex", "late-predecessor"],
+)
+def test_first_paths_on_small_diagrams(counts, rows, firsts):
+    d = BratteliDiagram(counts, rows)
+    for n, want in enumerate(firsts):
+        got = [None if p is None else format_path(p) for p in d._first_paths(n)]
+        assert got == want
+
+
+def test_embed_multiplicities_names_a_vertex_no_path_reaches():
+    d = BratteliDiagram((1, 2, 2), [[[1, 0]], [[1, 1], [0, 1]]])
+    with pytest.raises(ValueError, match=r"no path reaches Vertex\(1, 1\)"):
+        embed_multiplicities(d, 1)
+
+
+def test_rank_rejects_bad_levels_and_foreign_paths():
+    d = builtin_diagram("fibonacci", 3)
+    p = d.paths(2)[1]
+    with pytest.raises(ValueError, match=r"level 4 out of range 0\.\.3"):
+        d._rank(4, p)
+    with pytest.raises(ValueError, match="no extension to level 1"):
+        d._rank(1, p)
+    for foreign in (builtin_diagram("car", 3).paths(2)[1], FinitePath([Edge(0, 0, 1, 0), Edge(1, 1, 1, 0)])):
+        with pytest.raises(ValueError, match="is not a path of this diagram"):
+            d._rank(2, foreign)
 
 
 def test_children_are_the_one_edge_extensions():

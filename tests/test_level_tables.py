@@ -227,3 +227,11 @@ def test_path_at_reads_one_memoized_count_table_per_level(monkeypatch):
     # descendants counts from its own level, never from the root.
     d.descendants(5, 8)
     assert calls[2:] == [(5, 8)]
+
+
+def test_path_at_rejects_levels_past_the_depth():
+    d = builtin_diagram("fibonacci", 3)
+    for m in (4, -1):
+        with pytest.raises(ValueError, match=r"level %d out of range 0\.\.3" % m):
+            d._path_at(m, 0)
+    assert ("down_counts", 4) not in d._memo

@@ -14,7 +14,10 @@ The deep shapes are the benchmark's deep-cold jobs:
   unit of fibonacci at depth 20 (rows copied 2,584 or 4,181 times);
 - ``extend_index car-widen``: ``jones_kernel(3).widen(3, 12)`` on car at
   depth 12 (rows copied 512 times);
-- ``validate pascal120``: pascal at depth 120.
+- ``validate pascal120``: pascal at depth 120;
+- ``embed_multiplicities car15`` and ``fib20``: the stage embedding of car
+  at depth 15 from level 14 and of fibonacci at depth 20 from level 19,
+  what deep-cold's two ``embed-matrix`` jobs compute.
 
 The verify-sized shapes are uhf3 at depth 3 (``uhf3``) and the shape of
 the verify-sparse file diagram (``sparse``: vertices 1, 3, 3, 3, 3 with
@@ -25,10 +28,12 @@ diagram.
 
 Each call builds a fresh diagram and, outside the timed region, the tables
 the builder reads (for ``tail_classes``: ``terminals``, ``descendants`` and
-``block_paths``), so a call times the builder alone on a cold memo.  A
-round makes ``--calls`` calls and each line reports the best of three
-rounds.  ``--src`` imports afpath from another checkout's ``src/``, so the
-same builders can be timed before and after a change.
+``block_paths``), so a call times the builder alone on a cold memo.
+``embed_multiplicities`` gets nothing built in advance: like the CLI job,
+it is timed on a fresh diagram with whatever it reads.  A round makes
+``--calls`` calls and each line reports the best of three rounds.
+``--src`` imports afpath from another checkout's ``src/``, so the same
+builders can be timed before and after a change.
 """
 
 import argparse
@@ -119,6 +124,12 @@ def cases(afpath):
             return d.validate
         return setup
 
+    def embed(make, level):
+        def setup():
+            d = make()
+            return lambda: afpath.embed_multiplicities(d, level)
+        return setup
+
     def extend(make, pairs, index):
         def setup():
             d = make()
@@ -152,6 +163,8 @@ def cases(afpath):
         ("extend_index fib-embed", fib_embed),
         ("extend_index car-widen", car_widen),
         ("validate pascal120", validate(builtin("pascal", 120))),
+        ("embed_multiplicities car15", embed(builtin("car", 15), 14)),
+        ("embed_multiplicities fib20", embed(builtin("fibonacci", 20), 19)),
     ]
     for shape, make in (("uhf3", builtin("uhf3", 3)), ("sparse", sparse)):
         out += [
@@ -191,7 +204,7 @@ def main(argv=None):
 
     for label, setup in cases(afpath):
         us = best_us(setup, args.calls)
-        print("%-24s %10.1f us/call  (%d calls)" % (label, us, args.calls))
+        print("%-28s %10.1f us/call  (%d calls)" % (label, us, args.calls))
     return 0
 
 
