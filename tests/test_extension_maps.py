@@ -247,8 +247,10 @@ def test_first_path_into_each_vertex_ranks_to_its_first_id(name):
         ((1, 2, 2, 2), [[[1, 1]], [[0, 1], [1, 0]], [[1, 1], [1, 0]]],
          [["()"], ["0>0#0", "0>1#0"], ["0>1#0;1>0#0", "0>0#0;0>1#0"],
           ["0>0#0;0>1#0;1>0#0", "0>1#0;1>0#0;0>1#0"]]),
+        # a negative multiplicity stands for no edge, as in ``edges_from``
+        ((1, 2, 2), [[[1, -1]], [[1, 0], [0, 1]]], [["()"], ["0>0#0", None], ["0>0#0;0>0#0", None]]),
     ],
-    ids=["two-roots", "unfed-vertex", "late-predecessor"],
+    ids=["two-roots", "unfed-vertex", "late-predecessor", "negative-multiplicity"],
 )
 def test_first_paths_on_small_diagrams(counts, rows, firsts):
     d = BratteliDiagram(counts, rows)
