@@ -300,7 +300,7 @@ def embed_multiplicities(diagram, n):
         for a, (cols, re, im) in image.items():
             if a in cols:
                 k = cols.index(a)
-                w = d._path_at(n + 1, a).terminal().index
+                w = d._terminal_at(n + 1, a)
                 res[w] += re[k]
                 ims[w] += im[k]
         row = []

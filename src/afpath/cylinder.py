@@ -69,7 +69,8 @@ class CylinderFunction:
         if len(path) < self.level:
             raise ValueError("path of length %d cannot determine a level-%d value" % (len(path), self.level))
         den, res, ims = self._form
-        g = self.diagram.path_id(path.prefix(self.level))
+        d = self.diagram
+        g = d._rank(self.level, d._rooted(path).edges[: self.level])
         return _exact.scalar(den, res[g], ims[g])
 
     def _combined(self, other, op):

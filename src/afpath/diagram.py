@@ -10,7 +10,7 @@ is what makes byte-level determinism possible downstream.
 """
 
 from dataclasses import dataclass
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, repeat, starmap
 from operator import itemgetter, sub
 
 
@@ -381,13 +381,19 @@ class BratteliDiagram:
         return self._upward("terminals", n, lambda: (0,), step)
 
     def path_id(self, path):
-        """Position of a rooted path within the canonical enumeration."""
-        n = len(path)
-        index = self.memo(("path_index", n), lambda: {p: i for i, p in enumerate(self.paths(n))})
-        try:
-            return index[path]
-        except KeyError:
-            raise ValueError("%r is not a path of this diagram" % (path,)) from None
+        """Position of a rooted path within the canonical enumeration, ranked
+        in O(length x out-degree) steps: no path is built, nothing but the
+        downward counts is memoized.  Raises ValueError for a path longer than
+        the depth and for anything but a ``FinitePath`` of this diagram."""
+        return self._rank(len(path), self._rooted(path))
+
+    @staticmethod
+    def _rooted(path):
+        # Only a FinitePath's edges are known to chain from the root, which
+        # _rank does not check.
+        if not isinstance(path, FinitePath):
+            raise ValueError("%r is not a path of this diagram" % (path,))
+        return path
 
     def segments(self, v, w):
         """All segments from v to w, ordered like the path enumeration."""
@@ -412,31 +418,40 @@ class BratteliDiagram:
             down.append([sum(x * down[-1][j] for j, x in pairs) for pairs in level])
         return down[::-1]
 
-    def _path_at(self, m, gid):
-        """The length-m path with id gid, built without enumerating level m:
-        from the root, each edge covers as many ids as there are paths from
-        its target down to level m."""
+    def _unrank(self, m, gid):
+        """The length-m path with id gid as ``(level, source, target, copy)``
+        tuples, without enumerating level m: from the root, each edge covers
+        as many ids as there are paths from its target down to level m."""
         self._check_level(m)
         down = self.memo(("down_counts", m), lambda: self._down_counts(0, m))
         if not 0 <= gid < down[0][0]:
             raise ValueError("path id %d out of range for level %d" % (gid, m))
-        edges, v = [], 0
+        steps, v = [], 0
         for k in range(m):
             for j, x in self._rows[k][v]:
                 size = down[k + 1][j]
                 if gid < x * size:
                     break
                 gid -= x * size
-            edges.append(Edge(k, v, j, gid // size))
+            steps.append((k, v, j, gid // size))
             gid, v = gid % size, j
-        return FinitePath(edges)
+        return steps
+
+    def _path_at(self, m, gid):
+        """The length-m path with id gid (see ``_unrank``)."""
+        return FinitePath(starmap(Edge, self._unrank(m, gid)))
+
+    def _terminal_at(self, m, gid):
+        """The terminal-vertex index of the length-m path with id gid."""
+        steps = self._unrank(m, gid)
+        return steps[-1][2] if steps else 0
 
     def _rank(self, m, path):
-        """The level-m id of the first length-m extension of a path of length
-        n <= m, the inverse of ``_path_at`` at m = n: each edge skips the ids
-        of the edges before it, as many per edge as there are paths from its
-        target down to level m.  At m > n this is
-        ``descendants(n, m)[path_id(path)]``."""
+        """The level-m id of the first length-m extension of n <= m edges
+        chained from the root, the inverse of ``_unrank`` at m = n: each edge
+        skips the ids of the edges before it, as many per edge as there are
+        paths from its target down to level m.  Only the chaining is left
+        to the caller (``_rooted``)."""
         self._check_level(m)
         if len(path) > m:
             raise ValueError("a path of length %d has no extension to level %d" % (len(path), m))

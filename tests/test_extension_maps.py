@@ -22,6 +22,7 @@ from afpath import (
     embed_multiplicities,
     expect,
     format_path,
+    indicator_path,
     jones_kernel,
     jones_projection,
     matrix_unit,
@@ -145,6 +146,16 @@ def test_id_level_operations_enumerate_no_paths(monkeypatch, capsys):
         random_af_element(d, 3, random.Random(2)).embed_to(7)
         jones_kernel(d, 2).widen(4, depth)
         random_groupoid_function(d, 1, 3, random.Random(3)).widen(2, 8)
+        assert _path_keys(d) == []
+        # The public readers of one deep path's id rank it; none indexes its level.
+        gid = len(d.terminals(depth)) // 3
+        p = d._path_at(depth, gid)
+        assert d.path_id(p) == gid
+        assert matrix_unit(d, p, p).entry(p, p) == 1
+        k = jones_kernel(d, 2).widen(4, depth)
+        assert k.value(p, p) == k.table[(gid, gid)]
+        assert indicator_path(d, p).eval(p) == 1
+        assert f.eval(p) == f.table[d.prefix_ids(depth, 6)[gid]]
         assert _path_keys(d) == []
     built = []
     original = cli.resolve_diagram
@@ -275,6 +286,18 @@ def test_rank_rejects_bad_levels_and_foreign_paths():
     for foreign in (builtin_diagram("car", 3).paths(2)[1], FinitePath([Edge(0, 0, 1, 0), Edge(1, 1, 1, 0)])):
         with pytest.raises(ValueError, match="is not a path of this diagram"):
             d._rank(2, foreign)
+        with pytest.raises(ValueError, match="is not a path of this diagram"):
+            d.path_id(foreign)
+    with pytest.raises(ValueError, match=r"level 4 out of range 0\.\.3"):
+        d.path_id(builtin_diagram("fibonacci", 4).paths(4)[1])
+    # Only a FinitePath chains from the root: neither a real path's edge
+    # tuple nor an unchained one (which _rank alone would rank 0) has an id
+    # or a cylinder value.
+    f = constant(d, 1).refine(2)
+    for edges in (p.edges, (Edge(0, 0, 0, 0), Edge(1, 1, 0, 0))):
+        for read in (d.path_id, f.eval):
+            with pytest.raises(ValueError, match="is not a path of this diagram"):
+                read(edges)
 
 
 def test_children_are_the_one_edge_extensions():

@@ -223,6 +223,7 @@ def test_path_at_reads_one_memoized_count_table_per_level(monkeypatch):
     for m in (3, 8):
         for gid in range(len(d.terminals(m))):
             assert d._path_at(m, gid) == d.paths(m)[gid]
+            assert d._terminal_at(m, gid) == d.terminals(m)[gid]
     assert calls == [(0, 3), (0, 8)]
     # descendants counts from its own level, never from the root.
     d.descendants(5, 8)
@@ -232,6 +233,8 @@ def test_path_at_reads_one_memoized_count_table_per_level(monkeypatch):
 def test_path_at_rejects_levels_past_the_depth():
     d = builtin_diagram("fibonacci", 3)
     for m in (4, -1):
-        with pytest.raises(ValueError, match=r"level %d out of range 0\.\.3" % m):
-            d._path_at(m, 0)
+        for read in (d._path_at, d._terminal_at):
+            with pytest.raises(ValueError, match=r"level %d out of range 0\.\.3" % m):
+                read(m, 0)
     assert ("down_counts", 4) not in d._memo
+    assert d._terminal_at(0, 0) == 0
