@@ -11,6 +11,12 @@ a re-indexed or extended form may not be, which costs only size: ``equal``
 and ``index_equal`` cross-multiply the denominators, and converting back
 reduces every Fraction.
 
+Rows are never mutated: a kernel that changes a row builds new lists.  So
+several ids may hold one row object, and ids that hold one row object hold
+equal rows (``jones_projection`` shares one row per tail class among the
+class's members).  ``product`` multiplies such a row once and ``indexed``
+reduces it once, and both keep it shared in their output.
+
 The form is the only state a table owner (``PairTable``,
 ``CylinderFunction``) keeps.  The kernels here take and return forms, add,
 multiply and compare only ints; ``_scalars`` turns a form into reduced
@@ -220,9 +226,16 @@ def indexed(den, rows):
             return den, rows
     if not any(cols for cols, _, _ in rows.values()):
         return EMPTY
-    return den // g, {
-        i: (cols, [x // g for x in res], [y // g for y in ims]) for i, (cols, res, ims) in rows.items()
-    }
+    # A row object that several ids hold is reduced once and stays shared.
+    done = {}
+    out = {}
+    for i, row in rows.items():
+        new = done.get(id(row))
+        if new is None:
+            cols, res, ims = row
+            new = done[id(row)] = (cols, [x // g for x in res], [y // g for y in ims])
+        out[i] = new
+    return den // g, out
 
 
 def unit(a, b):
@@ -405,7 +418,8 @@ def product(a, b):
 
     ``{(i,k): x} x {(k,j): y} -> {(i,j): sum x*y}``.  Only the rows of b
     that a reaches are read, so the cost is the size of a plus those rows,
-    however large b is.
+    however large b is.  A row object that several ids of a hold is
+    multiplied once, and those ids hold one shared row of the product.
 
     The loop is chosen by the widths of the rows it reads:
 
@@ -421,18 +435,27 @@ def product(a, b):
     """
     den_a, rows_a = a
     den_b, rows_b = b
+    held = None
+    if len(rows_a) > 1 and len(set(map(id, rows_a.values()))) < len(rows_a):
+        # Multiply one id per row object: the last that holds it.
+        held = list(map(id, rows_a.values()))
+        holder = dict(zip(held, rows_a))
+        every_a, rows_a = rows_a, {i: rows_a[i] for i in holder.values()}
     if all(len(ks) == 1 for ks, _, _ in rows_a.values()):
-        return indexed(den_a * den_b, _scaled_rows(rows_a, rows_b))
-    reach = {k for ks, _, _ in rows_a.values() for k in ks}
-    reached = {k: row for k in reach if (row := rows_b.get(k)) is not None}
-    if all(len(cols) == 1 for cols, _, _ in reached.values()):
-        rows = _merged_rows(rows_a, reached)
+        rows = _scaled_rows(rows_a, rows_b)
     else:
-        # A cell of row i sums at most len(row i of a) terms, and each digit
-        # of a term is at most 2 * top_a * top_b in size.
-        width = max(len(ks) for ks, _, _ in rows_a.values())
-        bound = width * _top(rows_a) * _top(reached)
-        rows = _packed_rows(rows_a, reached, bound.bit_length() + 2)
+        reach = {k for ks, _, _ in rows_a.values() for k in ks}
+        reached = {k: row for k in reach if (row := rows_b.get(k)) is not None}
+        if all(len(cols) == 1 for cols, _, _ in reached.values()):
+            rows = _merged_rows(rows_a, reached)
+        else:
+            # A cell of row i sums at most len(row i of a) terms, and each
+            # digit of a term is at most 2 * top_a * top_b in size.
+            width = max(len(ks) for ks, _, _ in rows_a.values())
+            bound = width * _top(rows_a) * _top(reached)
+            rows = _packed_rows(rows_a, reached, bound.bit_length() + 2)
+    if held is not None:
+        rows = {i: row for i, r in zip(every_a, held) if (row := rows.get(holder[r])) is not None}
     return indexed(den_a * den_b, rows)
 
 

@@ -187,7 +187,14 @@ def jones_projection(diagram, n, m=None):
     """The averaging projection at level n, included into stage m.
 
     At its own level it is blockwise the rank-one projection onto the
-    uniform vector: every entry of block v equals 1/#v.
+    uniform vector: every entry of block v equals 1/#v.  In stage m the row
+    of a path holds 1/#v at each path of its level-n tail class.  So it is
+    built from ``tail_classes(m, n)``, one row object per class shared by
+    the class's members: the build costs one entry per level-m path plus
+    one list per class, O(level-m paths) in all, where one row per path
+    cost the nnz.  The rows come in the order the level-n build extended
+    by ``embed_to(m)`` gives: block by block, each level-n path's
+    extensions in id order.
     """
     d = diagram
     if m is None:
@@ -196,15 +203,21 @@ def jones_projection(diagram, n, m=None):
         raise ValueError("need 0 <= n <= m <= depth, got n=%d m=%d" % (n, m))
 
     def build():
-        # Over the common denominator L, block v holds L / #v everywhere.
-        groups = d.block_paths(n)
-        den = math.lcm(*map(len, groups))
+        # Over the common denominator L, every entry of block v is L / #v.
+        # The t-th extensions of the paths into v form one class, so the
+        # paths of a block share one list of class rows, in extension order.
+        classes, class_of = d.tail_classes(m, n)
+        den = math.lcm(*map(len, classes))
+        desc = d.descendants(n, m)
         rows = {}
-        for gids in groups:
-            cols = list(gids)
-            row = (cols, [den // len(gids)] * len(gids), [0] * len(gids))
-            rows.update((a, row) for a in gids)
-        return AfElement._from_index(d, n, _exact.indexed(den, rows)).embed_to(m)._index
+        for gids in filter(None, d.block_paths(n)):
+            size = len(gids)
+            res, ims = [den // size] * size, [0] * size
+            first = gids[0]
+            shared = [(list(classes[c]), res, ims) for c in class_of[desc[first] : desc[first + 1]]]
+            for a in gids:
+                rows.update(zip(range(desc[a], desc[a + 1]), shared))
+        return _exact.indexed(den, rows)
 
     # The memo holds the row index only: an element would point back to the
     # diagram through ``.diagram``, so a dead diagram would wait for the

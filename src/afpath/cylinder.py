@@ -173,7 +173,7 @@ def constant(diagram, value):
 def indicator_path(diagram, path):
     """The indicator of all paths extending the given rooted path."""
     gid = diagram.path_id(path)
-    bits = [0] * len(diagram.terminals(len(path)))
+    bits = [0] * sum(diagram._level_counts()[len(path)])
     bits[gid] = 1
     return _indicator(diagram, len(path), bits)
 

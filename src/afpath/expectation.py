@@ -8,7 +8,6 @@ max(level(f), n).
 """
 
 from fractions import Fraction
-from math import lcm
 
 from ._exact import class_average, class_means, reduced
 from .cylinder import CylinderFunction, indicator_vertex
@@ -27,8 +26,13 @@ def expect(f, n):
 def _averaged(f, n, mean):
     d = f.diagram
     m = max(f.level, n)
-    classes, class_of, scale = d.memo(("averaging", m, n, mean), lambda: _averaging_plan(d, m, n, mean))
+    classes, class_of, scale = _plan(d, m, n, mean)
     return CylinderFunction._from_form(d, m, class_average(f._exact_form(m), classes, class_of, scale))
+
+
+def _plan(d, m, n, mean):
+    """The memoized averaging plan of level n on the length-m paths."""
+    return d.memo(("averaging", m, n, mean), lambda: _averaging_plan(d, m, n, mean))
 
 
 def _averaging_plan(d, m, n, mean):
@@ -58,33 +62,34 @@ def quasi_basis_apply(f, n):
     expectation says this returns f itself (refined to max(level(f), n)).
 
     The term of gamma lives on the level-m extensions of gamma, the ids
-    ``range(a, b)`` of ``descendants(n, m)``.  So ``I_gamma * f`` is f's form
-    with every entry outside ``[a, b)`` zeroed, ``expect`` is called on it
-    once, and only the ``[a, b)`` slice of the mean is kept and scaled by
-    #r(gamma).  The slices lie side by side: they are placed over one
-    common denominator and reduced once, which is the same exact sum.
+    ``range(a, b)`` of ``descendants(n, m)``, and so does ``I_gamma * f``.
+    Each term is averaged from that support alone: its entries are summed
+    into their classes through the memoized averaging plan's ``class_of``,
+    and only the classes met are read back, times the plan's class-mean
+    multiplier and #r(gamma).  Every term shares the plan's denominator, so
+    the sum is one reduced form, and a call costs O(level-m paths).
     """
     d = f.diagram
     d._check_level(n)
     m = max(f.level, n)
+    _, class_of, (big, mults) = _plan(d, m, n, True)
     desc = d.descendants(n, m)
     den, res, ims = f._exact_form(m)
-    counts = [d.path_count(v) for v in d.vertices(n)]
-    parts = []
-    for gid, t in enumerate(d.terminals(n)):
-        a, b = desc[gid], desc[gid + 1]
-        term_res, term_ims = [0] * len(res), [0] * len(res)
-        term_res[a:b], term_ims[a:b] = res[a:b], ims[a:b]
-        term = (den, term_res, term_ims)
-        e_den, e_res, e_ims = expect(CylinderFunction._from_form(d, m, term), n)._exact_form()
-        parts.append((e_den, counts[t], e_res[a:b], e_ims[a:b]))
-    common = lcm(*(e_den for e_den, _, _, _ in parts))
+    counts = d._level_counts()[n]
     out_res, out_ims = [], []
-    for e_den, count, e_res, e_ims in parts:
-        k = count * (common // e_den)
-        out_res += [x * k for x in e_res]
-        out_ims += [y * k for y in e_ims]
-    return CylinderFunction._from_form(d, m, reduced(common, out_res, out_ims))
+    for t, a, b in zip(d.terminals(n), desc, desc[1:]):
+        sums = {}
+        for p in range(a, b):
+            c = class_of[p]
+            s = sums.get(c)
+            sums[c] = (res[p], ims[p]) if s is None else (s[0] + res[p], s[1] + ims[p])
+        count = counts[t]
+        for c in class_of[a:b]:
+            x, y = sums[c]
+            k = mults[c] * count
+            out_res.append(x * k)
+            out_ims.append(y * k)
+    return CylinderFunction._from_form(d, m, reduced(den * big, out_res, out_ims))
 
 
 def prefix_sum_check(f, n, m):

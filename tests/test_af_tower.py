@@ -1,5 +1,6 @@
 """Block-matrix stages: matrix units, embeddings, and the averaging projections."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -26,8 +27,10 @@ from afpath import (
     VerifyConfig,
     Vertex,
     builtin_diagram,
+    parse_diagram,
     run_suites,
 )
+from afpath import _exact
 from test_extension_maps import BUILTIN, RANDOM, random_diagram
 
 
@@ -269,6 +272,49 @@ def test_jones_projection_averages(fibonacci):
             lhs = e_n * represent_cylinder(f) * e_n
             rhs = represent_cylinder(expect(f, n).refine(m)) * e_n
             assert lhs == rhs
+
+
+def _jones_by_embedding(d, n, m):
+    """The projection's row index built at level n, one row per block shared
+    by its paths, then extended to stage m by ``embed_to``."""
+    groups = d.block_paths(n)
+    den = math.lcm(*map(len, groups))
+    rows = {}
+    for gids in groups:
+        row = (list(gids), [den // len(gids)] * len(gids), [0] * len(gids))
+        rows.update((a, row) for a in gids)
+    return AfElement._from_index(d, n, _exact.indexed(den, rows)).embed_to(m)._index
+
+
+# 7, 7, 6 parallel edges down one vertex per level; and 5 edges from the
+# root to each of 10 vertices, 6 down each vertex's own column, then the
+# identity.
+_WIDE_FILES = {
+    "d776": "BRATTELI 1\nlevels 3\nvertices 1 1 1 1\nincidence 0\n7\nincidence 1\n7\nincidence 2\n6\n",
+    "ten-vertex": "BRATTELI 1\nlevels 3\nvertices 1 10 10 10\nincidence 0\n%s\nincidence 1\n%s\nincidence 2\n%s\n"
+    % (
+        " ".join(["5"] * 10),
+        "\n".join(" ".join(str(6 * (i == j)) for j in range(10)) for i in range(10)),
+        "\n".join(" ".join(str(int(i == j)) for j in range(10)) for i in range(10)),
+    ),
+}
+WIDE = [pytest.param(text, id=name) for name, text in _WIDE_FILES.items()]
+
+
+@pytest.mark.parametrize("d", BUILTIN + RANDOM + WIDE)
+def test_jones_projection_shares_one_row_per_tail_class(d):
+    if isinstance(d, str):
+        d = parse_diagram(d)
+    for m in range(d.depth + 1):
+        for n in range(m + 1):
+            den, rows = jones_projection(d, n, m)._index
+            want_den, want_rows = _jones_by_embedding(d, n, m)
+            assert den == want_den
+            assert list(rows.items()) == list(want_rows.items())
+            classes, class_of = d.tail_classes(m, n)
+            assert len({id(row) for row in rows.values()}) == len(classes)
+            for p, row in rows.items():
+                assert row is rows[classes[class_of[p]][0]]
 
 
 def test_toeplitz_word_recovers_units(car):

@@ -17,6 +17,7 @@ def test_bench_expect_reports_each_map_and_shape_once():
         timeout=120,
     ).stdout
     labels = ["%s %s" % (op, shape) for shape in ("one-class", "singletons", "mixed") for op in ("expect", "class_sum")]
+    labels.append("quasi-basis mixed")
     lines = out.splitlines()
     assert len(lines) == len(labels)
     for label, line in zip(labels, lines):

@@ -16,7 +16,7 @@ def test_bench_product_reports_each_case_once():
         text=True,
         timeout=120,
     ).stdout
-    labels = ["unit x unit", "unit x dense27", "empty x dense27", "dense27 x diag27", "dense27 x dense27", "dense2 x dense2"]
+    labels = ["unit x unit", "unit x dense27", "empty x dense27", "dense27 x diag27", "jones x diag", "dense27 x dense27", "dense2 x dense2"]
     lines = out.splitlines()
     assert len(lines) == len(labels)
     for label, line in zip(labels, lines):

@@ -17,6 +17,7 @@ from afpath import (
     convolve,
     diag,
     expect,
+    jones_projection,
     random_cylinder,
 )
 from afpath import _exact
@@ -301,6 +302,61 @@ def test_one_index_reused_across_many_products(lefts, b):
         assert_same_table(pair_table(product(idx, index(a))), naive_product(b, a))
     assert repr(idx) == before
     assert pair_table(idx) == b
+
+
+def shared_rows(idx, picks):
+    """The row index with each id holding the row object of the id picked
+    for it, so that several ids may hold one row; and an unshared copy."""
+    den, rows = idx
+    ids = list(rows)
+    shared = {i: rows[ids[k % len(ids)]] for i, k in zip(ids, picks)}
+    copy = {i: (list(cols), list(res), list(ims)) for i, (cols, res, ims) in shared.items()}
+    return (den, shared), (den, copy)
+
+
+def assert_shared_like(out, idx):
+    """Ids that hold one row object of idx hold one row object of out."""
+    rows, held = out[1], idx[1]
+    for i in rows:
+        for j in rows:
+            assert (rows[i] is rows[j]) == (held[i] is held[j])
+
+
+@given(tables | one_entry_rows, tables | one_entry_rows, st.lists(st.integers(0, 4), min_size=5, max_size=5))
+def test_product_of_shared_rows_matches_the_unshared_copy(a, b, picks):
+    # One-entry rows of a or of b, and wider ones, reach each of the loops.
+    if not a:
+        return
+    shared, copy = shared_rows(index(a), picks)
+    got, want = product(shared, index(b)), product(copy, index(b))
+    assert got[0] == want[0]
+    assert list(got[1].items()) == list(want[1].items())
+    assert_shared_like(got, shared)
+
+
+@pytest.mark.parametrize("width", [1, 3])
+def test_product_of_a_projection_shares_its_rows(car, width):
+    # e_2 in stage 4: 4 classes of 4 paths, each row held by 4 ids; b is a
+    # diagonal (width 1) or 3 wide, so the merged and packed loops run.
+    e = jones_projection(car, 2, 4)._index
+    rng = random.Random(width)
+    b = {}
+    for g in range(16):
+        cols = [(g + t) % 16 for t in range(width)]
+        b[g] = (cols, [rng.randint(1, 9) for _ in cols], [rng.randint(-9, 9) for _ in cols])
+    b = indexed(3, b)
+    copy = (e[0], {i: (list(cols), list(res), list(ims)) for i, (cols, res, ims) in e[1].items()})
+    got, want = product(e, b), product(copy, b)
+    assert got[0] == want[0] and list(got[1].items()) == list(want[1].items())
+    assert len({id(row) for row in got[1].values()}) == 4
+    assert_shared_like(got, e)
+
+
+def test_indexed_keeps_shared_rows_shared():
+    r, s = ([0, 1], [2, 4], [0, 6]), ([1], [8], [2])
+    den, rows = indexed(4, {0: r, 1: s, 2: r})
+    assert (den, rows) == (2, {0: ([0, 1], [1, 2], [0, 3]), 1: ([1], [4], [1]), 2: ([0, 1], [1, 2], [0, 3])})
+    assert rows[0] is rows[2] and rows[1] is not rows[0]
 
 
 @settings(max_examples=40)

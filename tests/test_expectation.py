@@ -116,9 +116,9 @@ def test_quasi_basis_apply_matches_the_sum_formula(d):
             assert got == f
 
 
-def test_quasi_basis_apply_calls_expect_once_per_path(pascal, monkeypatch):
-    true_expect = expectation.expect
+def test_quasi_basis_apply_makes_no_expect_call(pascal, monkeypatch):
     calls = []
+    true_expect = expectation.expect
 
     def counted(g, k):
         calls.append(k)
@@ -127,28 +127,40 @@ def test_quasi_basis_apply_calls_expect_once_per_path(pascal, monkeypatch):
     monkeypatch.setattr(expectation, "expect", counted)
     f = random_cylinder(pascal, 2, random.Random(53))
     for n in range(pascal.depth + 1):
-        calls.clear()
         assert quasi_basis_apply(f, n) == f
-        assert calls == [n] * len(pascal.paths(n))
+    assert calls == []
 
 
-def test_quasi_basis_check_fails_when_expect_is_off_at_one_path(pascal, monkeypatch):
-    # Each term keeps E_n(I_gamma f) on the extensions of gamma only, so a
-    # mean that is wrong at any one path p shows up in the term of the
-    # gamma whose range holds p.
+def test_quasi_basis_check_fails_when_the_plan_is_off_at_one_path(pascal, monkeypatch):
+    # Each term averages its own support [a, b) through the plan's class map
+    # and class-mean multipliers, so a plan that is wrong at one extension p
+    # of gamma shows up in the term of gamma.
     rng = random.Random(59)
     f = random_cylinder(pascal, 3, rng)
-    true_expect = expectation.expect
+    _, res, ims = f._exact_form()
+    merged = 0
     for n in (0, 1, 3):
+        key = ("averaging", 3, n, True)
+        expect(f, n)
+        classes, class_of, (big, mults) = pascal._memo[key]
         desc = pascal.descendants(n, 3)
         for gamma in range(len(pascal.paths(n))):
-            p = rng.randrange(desc[gamma], desc[gamma + 1])
-            bits = [0] * len(pascal.paths(3))
-            bits[p] = Scalar(0, 1)
-            wrong = CylinderFunction(pascal, 3, bits)
-            monkeypatch.setattr(expectation, "expect", lambda g, k: true_expect(g, k) + wrong)
+            a, b = desc[gamma], desc[gamma + 1]
+            p = rng.choice([q for q in range(a, b) if res[q] or ims[q]])
+            wrong = list(mults)
+            wrong[class_of[p]] += 1
+            monkeypatch.setitem(pascal._memo, key, (classes, class_of, (big, tuple(wrong))))
             assert quasi_basis_apply(f, n) != f
-            monkeypatch.setattr(expectation, "expect", true_expect)
+            if b - a > 1:
+                # Two extensions of gamma sent to one class.
+                q = a if p != a else a + 1
+                wrong = list(class_of)
+                wrong[q] = class_of[p]
+                monkeypatch.setitem(pascal._memo, key, (classes, tuple(wrong), (big, mults)))
+                assert quasi_basis_apply(f, n) != f
+                merged += 1
+            monkeypatch.setitem(pascal._memo, key, (classes, class_of, (big, mults)))
+    assert merged
 
 
 def test_quasi_basis_apply_rejects_levels_out_of_range(car):

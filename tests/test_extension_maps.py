@@ -182,6 +182,13 @@ def test_embed_multiplicities_builds_no_level_table(name, depth, level):
     assert _level_table_keys_above(d, 2) == []
 
 
+def test_indicator_of_a_deep_path_builds_no_level_table():
+    d = builtin_diagram("car", 16)
+    p = d._path_at(16, 12345)
+    assert indicator_path(d, p).eval(p) == 1
+    assert _level_table_keys_above(d, -1) == []
+
+
 def oracle_embed_multiplicities(d, n):
     """The enumerating form: the unit at ``terminals(n).index(v)`` embedded
     through the whole ``children(n)`` map and traced through the whole

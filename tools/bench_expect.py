@@ -3,9 +3,10 @@
     python3 tools/bench_expect.py [--calls N] [--src DIR]
 
 Prints one line per map and case: the microseconds per call of
-``afpath.expect`` and ``afpath.class_sum``.  The cases are the three shapes
-of the level-n tail-class partition that ``_exact.class_average`` tells
-apart:
+``afpath.expect`` and ``afpath.class_sum``, then one ``quasi-basis`` line
+for ``afpath.quasi_basis_apply`` on the ``mixed`` case.  The cases are the
+three shapes of the level-n tail-class partition that
+``_exact.class_average`` tells apart:
 
 - ``one-class``: uhf3 at level 3, averaged at n = 3 (one class of 27 paths);
 - ``singletons``: pascal at level 6, averaged at n = 1 (64 classes of one
@@ -57,13 +58,18 @@ def main(argv=None):
     import afpath
 
     rng = random.Random(17)
+    lines = []
     for label, name, level, n in CASES:
         d = afpath.builtin_diagram(name)
         f = afpath.random_cylinder(d, level, rng)
         for op in (afpath.expect, afpath.class_sum):
-            op(f, n)
-            us = best_us(op, f, n, args.calls)
-            print("%-22s %10.1f us/call  (%d calls)" % ("%s %s" % (op.__name__, label), us, args.calls))
+            lines.append(("%s %s" % (op.__name__, label), op, f, n))
+    # The quasi-basis sum reads the same memoized plan as expect.
+    lines.append(("quasi-basis mixed", afpath.quasi_basis_apply, f, n))
+    for label, op, f, n in lines:
+        op(f, n)
+        us = best_us(op, f, n, args.calls)
+        print("%-22s %10.1f us/call  (%d calls)" % (label, us, args.calls))
     return 0
 
 

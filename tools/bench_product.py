@@ -6,11 +6,13 @@ Prints one line per case: the operands' shapes and the microseconds per call
 of ``afpath._exact.product``, the kernel behind ``AfElement.__mul__`` and
 ``convolve``.  The cases are a matrix unit times a matrix unit, a unit times
 a dense 27x27 block, the empty table times a dense 27x27 block (the early
-return on an empty left operand), a dense 27x27 block times a diagonal, and
-dense WxW blocks times dense WxW blocks for W = 27 and W = ``--wide`` (294
-by default: the largest tail class of the 7, 7, 6 file diagram).  Dense entries
-are Gaussian integers with parts in [-108, 108] over a denominator, drawn
-from one seeded RNG, so every run times the same operands.
+return on an empty left operand), a dense 27x27 block times a diagonal,
+car's averaging projection ``e_4`` in stage 5 (32 rows of 16 entries, each
+row object held by the 16 ids of its tail class) times a 32-entry diagonal,
+and dense WxW blocks times dense WxW blocks for W = 27 and W = ``--wide``
+(294 by default: the largest tail class of the 7, 7, 6 file diagram).  Dense
+entries are Gaussian integers with parts in [-108, 108] over a denominator,
+drawn from one seeded RNG, so every run times the same operands.
 
 A round makes ``--calls`` calls of a case, or ``--calls * 27 / W**2`` (at
 least one) of a case whose widest row W exceeds 5, and each case reports
@@ -37,17 +39,25 @@ def dense(exact, rng, width):
     return exact.indexed(35, rows)
 
 
-def operands(exact, wide, seed=14):
+def diagonal(exact, rng, size):
+    """A size x size diagonal row index with Gaussian entries over 6."""
+    return exact.indexed(6, {g: ([g], [rng.randint(-9, 9) or 1], [rng.randint(-9, 9)]) for g in range(size)})
+
+
+def operands(afpath, wide, seed=14):
     """The (label, a, b) of each case, built from one seeded RNG."""
+    exact = afpath._exact
     rng = random.Random(seed)
     unit = exact.unit
-    diag = exact.indexed(6, {g: ([g], [rng.randint(-9, 9) or 1], [rng.randint(-9, 9)]) for g in range(27)})
+    diag = diagonal(exact, rng, 27)
     d27, e27, big = dense(exact, rng, 27), dense(exact, rng, 27), dense(exact, rng, wide)
+    jones = afpath.jones_projection(afpath.builtin_diagram("car"), 4, 5)._index
     return [
         ("unit x unit", unit(3, 5), unit(5, 7)),
         ("unit x dense27", unit(3, 5), d27),
         ("empty x dense27", exact.EMPTY, d27),
         ("dense27 x diag27", d27, diag),
+        ("jones x diag", jones, diagonal(exact, rng, 32)),
         ("dense27 x dense27", d27, e27),
         ("dense%d x dense%d" % (wide, wide), big, dense(exact, rng, wide)),
     ]
@@ -77,9 +87,10 @@ def main(argv=None):
     ap.add_argument("--src", default=os.path.join(ROOT, "src"), help="the src/ directory to import afpath from")
     args = ap.parse_args(argv)
     sys.path.insert(0, os.path.abspath(args.src))
+    import afpath
     from afpath import _exact
 
-    for label, a, b in operands(_exact, args.wide):
+    for label, a, b in operands(afpath, args.wide):
         # A dense case costs about width**2 multiply-adds per row; keep the
         # rounds of the wide ones short.
         width = max(widest(a), widest(b))
