@@ -117,8 +117,8 @@ def test_quasi_basis_apply_matches_the_sum_formula(d):
 
 
 def test_quasi_basis_apply_makes_no_expect_call(pascal, monkeypatch):
-    calls = []
     true_expect = expectation.expect
+    calls = []
 
     def counted(g, k):
         calls.append(k)

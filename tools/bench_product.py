@@ -50,16 +50,18 @@ def operands(afpath, wide, seed=14):
     rng = random.Random(seed)
     unit = exact.unit
     diag = diagonal(exact, rng, 27)
-    d27, e27, big = dense(exact, rng, 27), dense(exact, rng, 27), dense(exact, rng, wide)
+    d27, e27, big, big2 = dense(exact, rng, 27), dense(exact, rng, 27), dense(exact, rng, wide), dense(exact, rng, wide)
+    # Drawn last, so the other cases keep their operands.
+    diag32 = diagonal(exact, rng, 32)
     jones = afpath.jones_projection(afpath.builtin_diagram("car"), 4, 5)._index
     return [
         ("unit x unit", unit(3, 5), unit(5, 7)),
         ("unit x dense27", unit(3, 5), d27),
         ("empty x dense27", exact.EMPTY, d27),
         ("dense27 x diag27", d27, diag),
-        ("jones x diag", jones, diagonal(exact, rng, 32)),
+        ("jones x diag", jones, diag32),
         ("dense27 x dense27", d27, e27),
-        ("dense%d x dense%d" % (wide, wide), big, dense(exact, rng, wide)),
+        ("dense%d x dense%d" % (wide, wide), big, big2),
     ]
 
 
