@@ -14,8 +14,9 @@ reduces every Fraction.
 Rows are never mutated: a kernel that changes a row builds new lists.  So
 several ids may hold one row object, and ids that hold one row object hold
 equal rows (``jones_projection`` shares one row per tail class among the
-class's members).  ``product`` multiplies such a row once and ``indexed``
-reduces it once, and both keep it shared in their output.
+class's members).  ``product`` multiplies such a row once, ``indexed``
+reduces it once and ``extend_index`` copies it once per extension, and all
+three keep it shared in their output.
 
 The form is the only state a table owner (``PairTable``,
 ``CylinderFunction``) keeps.  The kernels here take and return forms, add,
@@ -604,16 +605,27 @@ def extend_index(idx, offsets):
     extensions of id a are ``range(offsets[a], offsets[a+1])``.  Both ids of
     a pair end at one vertex, so their t-th extensions follow the same
     edges, and copy t of a row has column t of its columns' extension
-    ranges.  The copies of a row share its numerator lists.
+    ranges.  The copies of a row share its numerator lists, and a row object
+    that several ids hold is copied once: copy t is shared by the t-th
+    extensions of all its holders, which end at one vertex.
     """
     den, rows = idx
-    out = {}
-    for a, (cols, res, ims) in rows.items():
+    out, done = {}, {}
+    for a, row in rows.items():
         start, stop = offsets[a], offsets[a + 1]
+        copies = done.get(id(row))
+        if copies is not None:
+            out.update(zip(range(start, stop), copies))
+            continue
+        cols, res, ims = row
         if stop - start > _COLUMNWISE_COPIES:
             columns = zip(*[range(offsets[b], offsets[b + 1]) for b in cols])
-            out.update(zip(range(start, stop), zip(map(list, columns), repeat(res), repeat(ims))))
+            copies = list(zip(map(list, columns), repeat(res), repeat(ims)))
+            out.update(zip(range(start, stop), copies))
         else:
+            copies = []
             for t in range(stop - start):
-                out[start + t] = ([offsets[b] + t for b in cols], res, ims)
+                out[start + t] = ext = ([offsets[b] + t for b in cols], res, ims)
+                copies.append(ext)
+        done[id(row)] = copies
     return den, out

@@ -16,6 +16,7 @@ per-vertex view with positions inside each block.
 
 import math
 from fractions import Fraction
+from itertools import repeat
 
 from . import _exact
 from .diagram import Vertex
@@ -187,14 +188,12 @@ def jones_projection(diagram, n, m=None):
     """The averaging projection at level n, included into stage m.
 
     At its own level it is blockwise the rank-one projection onto the
-    uniform vector: every entry of block v equals 1/#v.  In stage m the row
-    of a path holds 1/#v at each path of its level-n tail class.  So it is
-    built from ``tail_classes(m, n)``, one row object per class shared by
-    the class's members: the build costs one entry per level-m path plus
-    one list per class, O(level-m paths) in all, where one row per path
-    cost the nnz.  The rows come in the order the level-n build extended
-    by ``embed_to(m)`` gives: block by block, each level-n path's
-    extensions in id order.
+    uniform vector: every entry of block v equals 1/#v, so the paths of a
+    block share one row.  In stage m it is that index extended by
+    ``embed_to(m)``: the row of a path holds 1/#v at each path of its
+    level-n tail class, and ``extend_index`` copies each shared row once
+    per extension, so the members of a class share one row object.  The
+    build costs one entry per level-m path plus one list per class.
     """
     d = diagram
     if m is None:
@@ -203,20 +202,15 @@ def jones_projection(diagram, n, m=None):
         raise ValueError("need 0 <= n <= m <= depth, got n=%d m=%d" % (n, m))
 
     def build():
+        if m > n:
+            return _exact.extend_index(jones_projection(d, n)._index, d.descendants(n, m))
         # Over the common denominator L, every entry of block v is L / #v.
-        # The t-th extensions of the paths into v form one class, so the
-        # paths of a block share one list of class rows, in extension order.
-        classes, class_of = d.tail_classes(m, n)
-        den = math.lcm(*map(len, classes))
-        desc = d.descendants(n, m)
+        blocks = list(filter(None, d.block_paths(n)))
+        den = math.lcm(*map(len, blocks))
         rows = {}
-        for gids in filter(None, d.block_paths(n)):
+        for gids in blocks:
             size = len(gids)
-            res, ims = [den // size] * size, [0] * size
-            first = gids[0]
-            shared = [(list(classes[c]), res, ims) for c in class_of[desc[first] : desc[first + 1]]]
-            for a in gids:
-                rows.update(zip(range(desc[a], desc[a + 1]), shared))
+            rows.update(zip(gids, repeat((list(gids), [den // size] * size, [0] * size))))
         return _exact.indexed(den, rows)
 
     # The memo holds the row index only: an element would point back to the
@@ -292,8 +286,9 @@ def embed_multiplicities(diagram, n):
     Each unit sits at the first path into its vertex, and everything is
     computed per path id: the unit's two offsets rank the first extensions
     of its id and the next, and each row of the image finds its terminal by
-    unranking.  So no level table is built, and the cost grows with the
-    depth times the vertices, not with the number of paths.
+    unranking, all on ``(level, source, target, copy)`` steps.  So no level
+    table and no path object is built, and the cost grows with the depth
+    times the vertices, not with the number of paths.
     """
     d = diagram
     if not 0 <= n < d.depth:
@@ -301,12 +296,12 @@ def embed_multiplicities(diagram, n):
     count_n, count_next = map(sum, d._level_counts()[n : n + 2])
     width = d.vertex_counts[n + 1]
     rows = []
-    for v, path in enumerate(d._first_paths(n)):
-        if path is None:
-            raise ValueError("no path reaches %r" % Vertex(n, v))
-        first = d._rank(n, path)
-        after = d._rank(n + 1, d._path_at(n, first + 1)) if first + 1 < count_n else count_next
-        offsets = {first: d._rank(n + 1, path), first + 1: after}
+    for v, steps in enumerate(d._first_paths(n)):
+        if steps is None:
+            raise ValueError("no path reaches %r" % (Vertex(n, v),))
+        first = d._rank(n, steps)
+        after = d._rank(n + 1, d._unrank(n, first + 1)) if first + 1 < count_n else count_next
+        offsets = {first: d._rank(n + 1, steps), first + 1: after}
         den, image = _exact.extend_index(_exact.unit(first, first), offsets)
         # The diagonal of the image, summed by the terminal of each row.
         res, ims = [0] * width, [0] * width
@@ -316,10 +311,8 @@ def embed_multiplicities(diagram, n):
                 w = d._terminal_at(n + 1, a)
                 res[w] += re[k]
                 ims[w] += im[k]
-        row = []
-        for t in _exact.scalar_table((den, res, ims)):
-            if t.im or t.re.denominator != 1:
-                raise AssertionError("non-integral multiplicity trace %r" % t)
-            row.append(int(t.re))
-        rows.append(tuple(row))
+        # An extended unit keeps the unit's denominator 1.
+        if den != 1 or any(ims):
+            raise AssertionError("non-integral multiplicity trace in row %d" % v)
+        rows.append(tuple(res))
     return tuple(rows)

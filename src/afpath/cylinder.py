@@ -70,7 +70,7 @@ class CylinderFunction:
             raise ValueError("path of length %d cannot determine a level-%d value" % (len(path), self.level))
         den, res, ims = self._form
         d = self.diagram
-        g = d._rank(self.level, d._rooted(path).edges[: self.level])
+        g = d._rank(self.level, d._rooted(path)[: self.level])
         return _exact.scalar(den, res[g], ims[g])
 
     def _combined(self, other, op):
@@ -185,13 +185,22 @@ def indicator_vertex(diagram, v):
 
 
 def indicator_edge(diagram, edge):
-    """The indicator of paths whose level-``edge.level`` coordinate is this edge."""
-    n = edge.level + 1
-    if n > diagram.depth:
+    """The indicator of paths whose level-``edge.level`` coordinate is this edge.
+
+    Built from path ids: the edge is the ``at``-th one out of its source, so
+    it is the ``at``-th one-edge extension of each path into the source."""
+    k = edge.level
+    if k >= diagram.depth:
         raise ValueError("edge %r exceeds depth %d" % (edge, diagram.depth))
-    if edge not in diagram.edges_from(edge.source_vertex()):
+    out = diagram.edges_from(edge.source_vertex())
+    if edge not in out:
         raise ValueError("%r is not an edge of this diagram" % (edge,))
-    return _indicator(diagram, n, [int(p.edges[edge.level] == edge) for p in diagram.paths(n)])
+    at = out.index(edge)
+    children = diagram.children(k)
+    bits = [0] * children[-1]
+    for g in diagram.block_paths(k)[edge.source]:
+        bits[children[g] + at] = 1
+    return _indicator(diagram, k + 1, bits)
 
 
 def _indicator(diagram, level, bits):

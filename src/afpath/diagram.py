@@ -9,9 +9,9 @@ matrices, convolution kernels -- is indexed by these canonical orders, which
 is what makes byte-level determinism possible downstream.
 """
 
-from dataclasses import dataclass
-from itertools import accumulate, chain, repeat, starmap
+from itertools import accumulate, chain, repeat
 from operator import itemgetter, sub
+from typing import NamedTuple
 
 
 class DepthExhaustedError(ValueError):
@@ -26,8 +26,7 @@ class DiagramParseError(ValueError):
         self.lineno = lineno
 
 
-@dataclass(frozen=True, order=True)
-class Vertex:
+class Vertex(NamedTuple):
     level: int
     index: int
 
@@ -35,8 +34,7 @@ class Vertex:
         return "Vertex(%d, %d)" % (self.level, self.index)
 
 
-@dataclass(frozen=True, order=True)
-class Edge:
+class Edge(NamedTuple):
     """One edge from vertex (level, source) to vertex (level+1, target).
 
     Parallel edges are distinguished by ``copy`` in 0..multiplicity-1.
@@ -65,61 +63,47 @@ def _check_chain(edges, start_level, start_index):
         level, index = level + 1, e.target
 
 
-class FinitePath:
-    """A rooted path: a chained edge sequence starting at the level-0 root."""
+class FinitePath(tuple):
+    """A rooted path: the tuple of its edges, chained from the level-0 root.
 
-    __slots__ = ("edges",)
+    Edge k of a rooted path sits at level k, so tuple order is the
+    canonical path order."""
 
-    def __init__(self, edges=()):
+    __slots__ = ()
+
+    def __new__(cls, edges=()):
         edges = tuple(edges)
         _check_chain(edges, 0, 0)
-        self.edges = edges
+        return super().__new__(cls, edges)
 
-    def __len__(self):
-        return len(self.edges)
-
-    def __iter__(self):
-        return iter(self.edges)
-
-    def __getitem__(self, k):
-        return self.edges[k]
+    @property
+    def edges(self):
+        """The edges as a plain tuple, which ``path_id`` rejects."""
+        return tuple(self)
 
     def terminal(self):
         """The vertex this path ends at (the root for the empty path)."""
-        if not self.edges:
+        if not self:
             return Vertex(0, 0)
-        return self.edges[-1].target_vertex()
+        return self[-1].target_vertex()
 
     def vertex_at(self, k):
         """The vertex the path passes through at level k (0 <= k <= len)."""
-        if k == len(self.edges):
+        if k == len(self):
             return self.terminal()
-        return self.edges[k].source_vertex()
+        return self[k].source_vertex()
 
     def prefix(self, k):
-        return FinitePath(self.edges[:k])
+        return FinitePath(self[:k])
 
     def extend(self, edge):
-        return FinitePath(self.edges + (edge,))
+        _check_chain((edge,), *self.terminal())
+        return tuple.__new__(FinitePath, (*self, edge))
 
     def followed_by(self, segment):
         if segment.start != self.terminal():
             raise ValueError("segment starts at %r, path ends at %r" % (segment.start, self.terminal()))
-        return FinitePath(self.edges + segment.edges)
-
-    def _key(self):
-        return tuple((e.source, e.target, e.copy) for e in self.edges)
-
-    def __eq__(self, other):
-        if isinstance(other, FinitePath):
-            return self.edges == other.edges
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.edges)
-
-    def __lt__(self, other):
-        return self._key() < other._key()
+        return FinitePath(self + segment.edges)
 
     def __repr__(self):
         return "FinitePath(%s)" % format_path(self)
@@ -439,7 +423,7 @@ class BratteliDiagram:
 
     def _path_at(self, m, gid):
         """The length-m path with id gid (see ``_unrank``)."""
-        return FinitePath(starmap(Edge, self._unrank(m, gid)))
+        return FinitePath(map(Edge._make, self._unrank(m, gid)))
 
     def _terminal_at(self, m, gid):
         """The terminal-vertex index of the length-m path with id gid."""
@@ -450,33 +434,35 @@ class BratteliDiagram:
         """The level-m id of the first length-m extension of n <= m edges
         chained from the root, the inverse of ``_unrank`` at m = n: each edge
         skips the ids of the edges before it, as many per edge as there are
-        paths from its target down to level m.  Only the chaining is left
-        to the caller (``_rooted``)."""
+        paths from its target down to level m.  The edges may be ``Edge``s
+        or ``_unrank``'s plain steps; only the chaining is left to the
+        caller (``_rooted``)."""
         self._check_level(m)
         if len(path) > m:
             raise ValueError("a path of length %d has no extension to level %d" % (len(path), m))
         down = self.memo(("down_counts", m), lambda: self._down_counts(0, m))
         gid = 0
-        for e in path:
-            for j, x in self._rows[e.level][e.source]:
-                if j == e.target:
+        for level, source, target, copy in path:
+            for j, x in self._rows[level][source]:
+                if j == target:
                     break
-                gid += x * down[e.level + 1][j]
-            else:  # no edge to e.target
+                gid += x * down[level + 1][j]
+            else:  # no edge to target
                 x = 0
-            if not 0 <= e.copy < x:
+            if not 0 <= copy < x:
                 raise ValueError("%r is not a path of this diagram" % (path,))
-            gid += e.copy * down[e.level + 1][j]
+            gid += copy * down[level + 1][j]
         return gid
 
     def _first_paths(self, n):
         """The first rooted path into each level-n vertex, in vertex order,
-        or None for a vertex no path reaches, as an iterator that builds one
-        path at a time.  The first path into u extends the first path of u's
-        earliest predecessor by that predecessor's first edge into u.  So one
-        pass down the levels, taking each level's vertices in the order of
-        their first paths, finds every vertex's predecessor, and no level is
-        enumerated."""
+        as a list of ``(level, source, target, copy)`` steps like
+        ``_unrank``'s, or None for a vertex no path reaches; an iterator
+        that builds one path at a time.  The first path into u extends the
+        first path of u's earliest predecessor by that predecessor's first
+        edge into u.  So one pass down the levels, taking each level's
+        vertices in the order of their first paths, finds every vertex's
+        predecessor, and no level is enumerated."""
         self._check_level(n)
         order, parents = [0], []
         for k in range(n):
@@ -491,14 +477,14 @@ class BratteliDiagram:
             order = reached
 
         def first(v):
-            edges = []
+            steps = []
             for k in reversed(range(n)):
                 p = parents[k][v]
                 if p is None:
                     return None
-                edges.append(Edge(k, p, v, 0))
+                steps.append((k, p, v, 0))
                 v = p
-            return FinitePath(reversed(edges)) if v == 0 else None
+            return steps[::-1] if v == 0 else None
 
         return map(first, range(self.vertex_counts[n]))
 

@@ -27,6 +27,8 @@ def test_bench_levels_reports_each_builder_and_shape_once():
         "validate pascal120",
         "embed_multiplicities car15",
         "embed_multiplicities fib20",
+        "embed_multiplicities pascal120",
+        "indicator_edge car16",
     ]
     builders = ("terminals", "descendants", "block_paths", "tail_classes", "prefix_ids", "extend_index", "validate")
     labels = deep + ["%s %s" % (b, shape) for shape in ("uhf3", "sparse") for b in builders]

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from afpath import (
+    BratteliDiagram,
     CylinderFunction,
     Scalar,
     ZERO,
@@ -19,6 +20,7 @@ from afpath import (
     indicator_edge,
     Vertex,
 )
+from test_extension_maps import BUILTIN, SEEDED
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 scalars = st.builds(Scalar, rationals, rationals)
@@ -63,11 +65,18 @@ def test_indicator_vertex_table(pascal):
     assert sum(1 for x in f.table if x) == 2
 
 
-def test_indicator_edge_table(fibonacci):
-    e = fibonacci.edges_from(Vertex(1, 0))[0]
-    f = indicator_edge(fibonacci, e)
-    assert f.level == 2
-    assert [x == ONE for x in f.table] == [p.edges[1] == e for p in fibonacci.paths(2)]
+@pytest.mark.parametrize("d", BUILTIN + SEEDED)
+def test_indicator_edge_table(d):
+    # Built from path ids on a fresh diagram, the table equals the scan of
+    # every path's level-k edge, and no level of paths is enumerated.
+    fresh = BratteliDiagram(d.vertex_counts, d.incidence)
+    for k in range(min(d.depth, 5)):
+        for v in fresh.vertices(k):
+            for e in fresh.edges_from(v):
+                f = indicator_edge(fresh, e)
+                assert f.level == k + 1
+                assert f.table == tuple(ONE if p[k] == e else ZERO for p in d.paths(k + 1))
+    assert not [key for key in fresh._memo if key[0] == "paths"]
 
 
 def test_indicator_edge_rejects_foreign_edge(car, fibonacci):

@@ -20,7 +20,7 @@ from afpath import (
     BUILTIN_NAMES,
     DEFAULT_DEPTHS,
 )
-from test_extension_maps import MIXED, random_diagram
+from test_extension_maps import BUILTIN, MIXED, SEEDED, random_diagram
 
 
 def brute_force_counts(d, n):
@@ -136,6 +136,30 @@ def test_edges_from_exhausts_at_depth(car):
 def test_finite_path_must_chain():
     with pytest.raises(ValueError):
         FinitePath((Edge(1, 0, 0, 0),))  # does not start at the root
+    with pytest.raises(ValueError, match=r"edge Edge\(1: 1>0#0\) does not chain at level 1 vertex 0"):
+        FinitePath((Edge(0, 0, 0, 0), Edge(1, 1, 0, 0)))
+
+
+def test_edges_vertices_and_paths_are_immutable_tuples(car):
+    e, v, p = Edge(0, 0, 1, 0), Vertex(1, 0), car.paths(2)[1]
+    assert (repr(e), repr(v), repr(p)) == ("Edge(0: 0>1#0)", "Vertex(1, 0)", "FinitePath(0>0#0;0>0#1)")
+    assert e == (0, 0, 1, 0) and v == (1, 0) and p == tuple(p) == p.edges
+    assert type(p.edges) is tuple and type(p[:1]) is tuple
+    for obj, field in ((e, "copy"), (v, "index"), (p, "edges"), (p, "level")):
+        with pytest.raises(AttributeError):
+            setattr(obj, field, 0)
+    # Equal values hash equal, whichever way they were built.
+    twin = FinitePath([Edge(0, 0, 0, 0), Edge(*p[1])])
+    assert twin == p and hash(twin) == hash(p)
+    assert hash(Edge(*e)) == hash(e) and hash(car.paths(1)[0].terminal()) == hash(Vertex(1, 0))
+    assert {p: 1}[car._path_at(2, 1)] == 1
+
+
+@pytest.mark.parametrize("d", BUILTIN + SEEDED)
+def test_tuple_order_is_the_canonical_path_order(d):
+    for n in range(d.depth + 1):
+        assert sorted(d.paths(n)) == list(d.paths(n))
+    assert sorted(d.paths(d.depth), reverse=True) == list(reversed(d.paths(d.depth)))
 
 
 def test_segments_match_incidence_powers(pascal):

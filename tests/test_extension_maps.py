@@ -21,7 +21,7 @@ from afpath import (
     constant,
     embed_multiplicities,
     expect,
-    format_path,
+    indicator_edge,
     indicator_path,
     jones_kernel,
     jones_projection,
@@ -248,9 +248,9 @@ def test_first_path_into_each_vertex_ranks_to_its_first_id(name):
         terminals = d.terminals(n)
         firsts = list(d._first_paths(n))
         assert len(firsts) == d.vertex_counts[n]
-        for v, p in enumerate(firsts):
-            assert d._rank(n, p) == terminals.index(v)
-            assert p == d.paths(n)[terminals.index(v)]
+        for v, steps in enumerate(firsts):
+            assert d._rank(n, steps) == terminals.index(v)
+            assert steps == d._unrank(n, terminals.index(v))
 
 
 @pytest.mark.parametrize(
@@ -273,8 +273,40 @@ def test_first_path_into_each_vertex_ranks_to_its_first_id(name):
 def test_first_paths_on_small_diagrams(counts, rows, firsts):
     d = BratteliDiagram(counts, rows)
     for n, want in enumerate(firsts):
-        got = [None if p is None else format_path(p) for p in d._first_paths(n)]
+        got = [None if steps is None else _format_steps(steps) for steps in d._first_paths(n)]
         assert got == want
+
+
+def _format_steps(steps):
+    """``format_path``'s ``s>r#k;...`` form of ``(level, source, target, copy)`` steps."""
+    return ";".join("%d>%d#%d" % step[1:] for step in steps) or "()"
+
+
+@pytest.mark.parametrize("name", RANK_NAMES)
+def test_id_kernels_build_no_path_and_read_no_level_of_paths(name, monkeypatch):
+    built = []
+    make = FinitePath.__new__
+
+    def counted(cls, edges=()):
+        built.append(cls)
+        return make(cls, edges)
+
+    monkeypatch.setattr(FinitePath, "__new__", counted)
+    fresh = rank_diagram(name)
+    d = BratteliDiagram(fresh.vertex_counts, fresh.incidence)
+    for n in range(d.depth):
+        embed_multiplicities(d, n)
+        list(d._first_paths(n))
+        for v in d.vertices(n):
+            for e in d.edges_from(v):
+                indicator_edge(d, e)
+        for m in range(n, d.depth + 1):
+            jones_projection(d, n, m)
+    assert built == []
+    assert not [key for key in d._memo if key[0] == "paths"]
+    # The counter sees a path built by unranking.
+    d._path_at(d.depth, 0)
+    assert built == [FinitePath]
 
 
 def test_embed_multiplicities_names_a_vertex_no_path_reaches():

@@ -134,12 +134,15 @@ def _index(widths, copies):
     return (3, rows), offsets
 
 
-@pytest.mark.parametrize("copies", [
+CROSSOVER = [
     _exact._COLUMNWISE_COPIES - 1,
     _exact._COLUMNWISE_COPIES,
     _exact._COLUMNWISE_COPIES + 1,
     4 * _exact._COLUMNWISE_COPIES,
-])
+]
+
+
+@pytest.mark.parametrize("copies", CROSSOVER)
 @pytest.mark.parametrize("widths", [(1,), (1, 1), (3, 1, 2), (5,) * 5])
 def test_extend_index_matches_the_loop_around_the_crossover(copies, widths):
     idx, offsets = _index(widths, copies)
@@ -149,6 +152,24 @@ def test_extend_index_matches_the_loop_around_the_crossover(copies, widths):
     for a, (_, res, ims) in idx[1].items():
         for t in range(copies):
             assert got[1][offsets[a] + t][1] is res and got[1][offsets[a] + t][2] is ims
+
+
+@pytest.mark.parametrize("copies", CROSSOVER)
+def test_extend_index_keeps_shared_rows_shared(copies):
+    # Ids 0-4 hold the row objects of ids 0, 2, 0, 2 and 4, so rows 0 and 2
+    # have two holders each.  Copy t of a row is one object for all holders.
+    (den, rows), offsets = _index((5,) * 5, copies)
+    shared = {a: rows[b] for a, b in enumerate((0, 2, 0, 2, 4))}
+    unshared = {a: tuple(map(list, row)) for a, row in shared.items()}
+    got = _exact.extend_index((den, shared), offsets)
+    assert got == _exact.extend_index((den, unshared), offsets) == loop_extend_index((den, shared), offsets)
+    out = got[1]
+    for a in shared:
+        for b in shared:
+            for t in range(copies):
+                for u in range(copies):
+                    same = out[offsets[a] + t] is out[offsets[b] + u]
+                    assert same == (shared[a] is shared[b] and t == u)
 
 
 def test_extend_index_of_the_empty_index():

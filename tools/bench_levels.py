@@ -17,7 +17,11 @@ The deep shapes are the benchmark's deep-cold jobs:
 - ``validate pascal120``: pascal at depth 120;
 - ``embed_multiplicities car15`` and ``fib20``: the stage embedding of car
   at depth 15 from level 14 and of fibonacci at depth 20 from level 19,
-  what deep-cold's two ``embed-matrix`` jobs compute.
+  what deep-cold's two ``embed-matrix`` jobs compute; ``pascal120``: that of
+  pascal at depth 120 from level 119, 120 vertices ranked and unranked at
+  depth 120;
+- ``indicator_edge car16``: the indicator of the last edge out of car's
+  level-15 vertex, at depth 16 (2^16 paths).
 
 The verify-sized shapes are uhf3 at depth 3 (``uhf3``) and the shape of
 the verify-sparse file diagram (``sparse``: vertices 1, 3, 3, 3, 3 with
@@ -29,9 +33,10 @@ diagram.
 Each call builds a fresh diagram and, outside the timed region, the tables
 the builder reads (for ``tail_classes``: ``terminals``, ``descendants`` and
 ``block_paths``), so a call times the builder alone on a cold memo.
-``embed_multiplicities`` gets nothing built in advance: like the CLI job,
-it is timed on a fresh diagram with whatever it reads.  A round makes
-``--calls`` calls and each line reports the best of three rounds.
+``embed_multiplicities`` and ``indicator_edge`` get nothing built in
+advance: like the CLI job, each is timed on a fresh diagram with whatever
+it reads.  A round makes ``--calls`` calls and each line reports the best
+of three rounds.
 ``--src`` imports afpath from another checkout's ``src/``, so the same
 builders can be timed before and after a change.
 """
@@ -130,6 +135,13 @@ def cases(afpath):
             return lambda: afpath.embed_multiplicities(d, level)
         return setup
 
+    def edge_indicator(make):
+        def setup():
+            d = make()
+            last = d.edges_from(afpath.Vertex(d.depth - 1, 0))[-1]
+            return lambda: afpath.indicator_edge(d, last)
+        return setup
+
     def extend(make, pairs, index):
         def setup():
             d = make()
@@ -165,6 +177,8 @@ def cases(afpath):
         ("validate pascal120", validate(builtin("pascal", 120))),
         ("embed_multiplicities car15", embed(builtin("car", 15), 14)),
         ("embed_multiplicities fib20", embed(builtin("fibonacci", 20), 19)),
+        ("embed_multiplicities pascal120", embed(builtin("pascal", 120), 119)),
+        ("indicator_edge car16", edge_indicator(builtin("car", 16))),
     ]
     for shape, make in (("uhf3", builtin("uhf3", 3)), ("sparse", sparse)):
         out += [
@@ -204,7 +218,7 @@ def main(argv=None):
 
     for label, setup in cases(afpath):
         us = best_us(setup, args.calls)
-        print("%-28s %10.1f us/call  (%d calls)" % (label, us, args.calls))
+        print("%-30s %10.1f us/call  (%d calls)" % (label, us, args.calls))
     return 0
 
 
