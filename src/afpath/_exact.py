@@ -16,7 +16,8 @@ several ids may hold one row object, and ids that hold one row object hold
 equal rows (``jones_projection`` shares one row per tail class among the
 class's members).  ``product`` multiplies such a row once, ``indexed``
 reduces it once and ``extend_index`` copies it once per extension, and all
-three keep it shared in their output.
+three keep it shared in their output.  Sharing also crosses operands: in
+``product`` a row times 1 is b's row, the same object.
 
 The form is the only state a table owner (``PairTable``,
 ``CylinderFunction``) keeps.  The kernels here take and return forms, add,
@@ -26,7 +27,7 @@ Scalar computation, so reports do not change.
 """
 
 from fractions import Fraction
-from itertools import repeat
+from itertools import compress, repeat
 from math import gcd, lcm
 
 from .scalars import SCALAR_TYPES, Scalar, ZERO, as_scalar
@@ -222,6 +223,10 @@ def indexed(den, rows):
         return EMPTY
     g = den
     for _, res, ims in rows.values():
+        # One cell settles most reduced rows, so a wide row is read whole
+        # only when it does not.
+        if res and gcd(g, res[0], ims[0]) == 1:
+            return den, rows
         g = gcd(g, *res, *ims)
         if g == 1 and res:
             return den, rows
@@ -417,13 +422,21 @@ def scale_index(c, idx):
 def product(a, b):
     """The row index of the sparse matrix product of two row indexes.
 
-    ``{(i,k): x} x {(k,j): y} -> {(i,j): sum x*y}``.  Only the rows of b
-    that a reaches are read, so the cost is the size of a plus those rows,
-    however large b is.  A row object that several ids of a hold is
-    multiplied once, and those ids hold one shared row of the product.
+    ``{(i,k): x} x {(k,j): y} -> {(i,j): sum x*y}`` (Gustavson's row-wise
+    product, ACM TOMS 4, 1978).  Only the rows of b that a reaches are
+    read, so the cost is the size of a plus those rows, however large b
+    is.  A row object that several ids of a hold is multiplied once, and
+    those ids hold one shared row of the product; a row object that
+    several ids of b hold is packed and scanned once.  A row of a whose one
+    entry is 1 yields b's row object itself.
 
-    The loop is chosen by the widths of the rows it reads:
+    The loop is chosen per call by counting what each would read or decode:
 
+    - a is one row of one entry: that row of b, scaled, with no loop and
+      no scan (no other id holds the row, so no sharing is lost);
+    - a row of a wider than b has rows: it is read only at b's row ids, by
+      one C-level scan (``_probed_rows``), and the loops below read what is
+      left;
     - every row of a holds one entry (an empty a too): each row of the
       product is one row of b times one Gaussian integer, and shares b's
       column list;
@@ -432,17 +445,29 @@ def product(a, b):
       cancel;
     - otherwise each reached row of b is packed into one int (Kronecker
       substitution, see ``_packed_rows``) and a row of the product is a
-      few int multiply-adds.
+      few int multiply-adds and decodes, grouped by column list or on one
+      column axis, whichever decodes fewer cells.
     """
     den_a, rows_a = a
     den_b, rows_b = b
+    if len(rows_a) == 1:
+        ((i, (ks, res, ims)),) = rows_a.items()
+        if len(ks) == 1:
+            row = rows_b.get(ks[0])
+            if row is None:
+                return EMPTY
+            return indexed(den_a * den_b, {i: _row_times(row, res[0], ims[0])})
     held = None
     if len(rows_a) > 1 and len(set(map(id, rows_a.values()))) < len(rows_a):
         # Multiply one id per row object: the last that holds it.
         held = list(map(id, rows_a.values()))
         holder = dict(zip(held, rows_a))
         every_a, rows_a = rows_a, {i: rows_a[i] for i in holder.values()}
-    if all(len(ks) == 1 for ks, _, _ in rows_a.values()):
+    width = _widest(rows_a)
+    if 0 < len(rows_b) < width:
+        rows_a = _probed_rows(rows_a, rows_b)
+        width = _widest(rows_a)
+    if width <= 1:
         rows = _scaled_rows(rows_a, rows_b)
     else:
         reach = {k for ks, _, _ in rows_a.values() for k in ks}
@@ -450,19 +475,51 @@ def product(a, b):
         if all(len(cols) == 1 for cols, _, _ in reached.values()):
             rows = _merged_rows(rows_a, reached)
         else:
-            # A cell of row i sums at most len(row i of a) terms, and each
-            # digit of a term is at most 2 * top_a * top_b in size.
-            width = max(len(ks) for ks, _, _ in rows_a.values())
-            bound = width * _top(rows_a) * _top(reached)
-            rows = _packed_rows(rows_a, reached, bound.bit_length() + 2)
+            rows = _packed_rows(rows_a, reached, width)
     if held is not None:
         rows = {i: row for i, r in zip(every_a, held) if (row := rows.get(holder[r])) is not None}
     return indexed(den_a * den_b, rows)
 
 
+def _widest(rows):
+    """The length of the longest row of a row map, 0 for an empty map."""
+    return max([len(ks) for ks, _, _ in rows.values()], default=0)
+
+
 def _top(rows):
-    """The largest size of a numerator in a row map."""
-    return max(max(map(abs, res + ims)) for _, res, ims in rows.values())
+    """The largest size of a numerator among some rows."""
+    return max(max(map(abs, res + ims)) for _, res, ims in rows)
+
+
+def _probed_rows(rows_a, rows_b):
+    """The rows of a cut to the columns that are row ids of b.
+
+    A row no wider than b has rows is kept as it is.  A wider one is read
+    in C, not entry by entry: by ``list.index`` when b has one row, else by
+    one membership test per column, so only the entries kept cost a Python
+    step.
+    """
+    out = {}
+    if len(rows_b) == 1:
+        (k,) = rows_b
+        for i, row in rows_a.items():
+            ks, res, ims = row
+            if len(ks) == 1:
+                out[i] = row
+            elif k in ks:
+                p = ks.index(k)
+                out[i] = ([k], [res[p]], [ims[p]])
+        return out
+    member = rows_b.__contains__
+    for i, row in rows_a.items():
+        ks, res, ims = row
+        if len(ks) <= len(rows_b):
+            out[i] = row
+            continue
+        kept = list(compress(range(len(ks)), map(member, ks)))
+        if kept:
+            out[i] = ([ks[p] for p in kept], [res[p] for p in kept], [ims[p] for p in kept])
+    return out
 
 
 def _scaled_rows(rows_a, rows_b):
@@ -472,10 +529,18 @@ def _scaled_rows(rows_a, rows_b):
     for i, ((k,), (re,), (im,)) in rows_a.items():
         row = get(k)
         if row is not None:
-            cols, res, ims = row
-            # A product of nonzero Gaussian integers is nonzero.
-            out[i] = (cols, *_times((re, im), res, ims))
+            out[i] = _row_times(row, re, im)
     return out
+
+
+def _row_times(row, re, im):
+    """A row of b times the Gaussian integer ``re + im*i``: b's row object
+    itself when that is 1, so it stays shared with b."""
+    if re == 1 and not im:
+        return row
+    cols, res, ims = row
+    # A product of nonzero Gaussian integers is nonzero.
+    return (cols, *_times((re, im), res, ims))
 
 
 def _merged_rows(rows_a, rows_b):
@@ -502,48 +567,62 @@ def _merged_rows(rows_a, rows_b):
     return out
 
 
-def _packed_rows(rows_a, rows_b, shift):
+def _packed_rows(rows_a, reached, width):
     """The product's rows, with each reached row of b packed into one int.
 
     A Gaussian integer ``re + im*i`` is the int ``re + im*2**shift``, and a
-    row of b is the int with the entry in its t-th column at bit
-    ``3*shift*t``.  One int multiply-add by an entry of a then accumulates
-    ``re*re'``, ``re*im' + im*re'`` and ``im*im'`` of every column of the
-    row in separate ``shift``-bit digits.  ``shift`` is chosen so that no
-    digit of any cell's sum can reach half of ``2**shift``, so adding half
-    to every digit leaves each digit in ``[0, 2**shift)`` and each cell a
-    plain ``3*shift``-bit field, cut off by one mask and one shift.  Rows
-    of b with equal column lists accumulate into one int per row of a.
+    row of b on a column list is the int with the entry in the list's t-th
+    column at bit ``3*shift*t``.  One int multiply-add by an entry of a
+    then accumulates ``re*re'``, ``re*im' + im*re'`` and ``im*im'`` of
+    every column of the row in separate ``shift``-bit digits.  A cell of a
+    row of the product sums at most ``width`` terms, and each digit of a
+    term is at most ``2 * top_a * top_b`` in size, so ``shift`` is chosen
+    so that no digit of any cell's sum can reach half of ``2**shift``:
+    adding half to every digit leaves each digit in ``[0, 2**shift)`` and
+    each cell a plain ``3*shift``-bit field, cut off by one mask and one
+    shift.
+
+    Each row object of b is packed once, however many ids hold it.  Rows of
+    b with equal column lists share one list, and a row of a accumulates one
+    int per list it reaches and decodes each.  When the reached rows' lists
+    overlap so much that those decodes would read more cells than one int
+    per row of a on the sorted union of the lists (dense rows that drop a
+    few zero entries), every row of b is packed on that one axis instead.
     """
-    half = 1 << (shift - 1)
-    mask = (1 << shift) - 1
+    rows = {id(row): row for row in reached.values()}
+    shift = (width * _top(rows_a.values()) * _top(rows.values())).bit_length() + 2
     cell = 3 * shift
-    get = rows_b.get
+    lists, group = {}, {}
+    for key, (cols, _, _) in rows.items():
+        group[key] = lists.setdefault(tuple(cols), len(lists))
+    if len(lists) > 1:
+        group_of = {k: group[id(row)] for k, row in reached.items()}
+        widths = list(map(len, lists))
+        axis = sorted(set().union(*lists))
+        grouped = 0
+        for ks, _, _ in rows_a.values():
+            reaches = set(map(group_of.get, ks))
+            reaches.discard(None)
+            grouped += sum(map(widths.__getitem__, reaches))
+        if len(axis) * len(rows_a) < grouped:
+            return _axis_rows(rows_a, reached, rows, axis, shift)
+    columns = [(list(cols), _bias(len(cols), shift)) for cols in lists]
     packed = {}
-    groups = {}
-    columns = []
+    for key, (cols, res, ims) in rows.items():
+        g = group[key]
+        v = 0
+        for x, y in zip(reversed(res), reversed(ims)):
+            v = (v << cell) + x + (y << shift)
+        packed[key] = (g, v)
+    get = {k: packed[id(row)] for k, row in reached.items()}.get
     out = {}
     for i, (ks, res_i, ims_i) in rows_a.items():
         acc = {}
         for k, re, im in zip(ks, res_i, ims_i):
-            row = packed.get(k)
-            if row is None:
-                row_b = get(k)
-                if row_b is None:
-                    continue
-                cols, res_k, ims_k = row_b
-                v = 0
-                for x, y in zip(reversed(res_k), reversed(ims_k)):
-                    v = (v << cell) + x + (y << shift)
-                key = tuple(cols)
-                g = groups.get(key)
-                if g is None:
-                    g = groups[key] = len(columns)
-                    # half in each of the row's 3*len(cols) digits
-                    columns.append((cols, half * ((1 << cell * len(cols)) - 1) // mask))
-                row = packed[k] = (g, v)
-            g, v = row
-            acc[g] = acc.get(g, 0) + (re + (im << shift)) * v
+            row = get(k)
+            if row is not None:
+                g, v = row
+                acc[g] = acc.get(g, 0) + (re + (im << shift)) * v
         parts = [_unpacked(v, *columns[g], shift) for g, v in acc.items()]
         if len(parts) == 1:
             _, res, ims = parts[0]
@@ -556,6 +635,43 @@ def _packed_rows(rows_a, rows_b, shift):
                 _add_cell(cells, j, re, im)
         _put_row(out, i, cells)
     return out
+
+
+def _axis_rows(rows_a, reached, rows, axis, shift):
+    """``_packed_rows`` with every reached row of b packed on one column axis.
+
+    A row of b holds a zero cell at each axis column it lacks, so a row of
+    a accumulates one int and decodes it once; its zero cells are dropped.
+    """
+    cell = 3 * shift
+    at = {j: t for t, j in enumerate(axis)}
+    packed = {}
+    for key, (cols, res, ims) in rows.items():
+        fields = [0] * len(axis)
+        for j, x, y in zip(cols, res, ims):
+            fields[at[j]] = x + (y << shift)
+        v = 0
+        for c in reversed(fields):
+            v = (v << cell) + c
+        packed[key] = v
+    get = {k: packed[id(row)] for k, row in reached.items()}.get
+    bias = _bias(len(axis), shift)
+    out = {}
+    for i, (ks, res_i, ims_i) in rows_a.items():
+        acc = 0
+        for k, re, im in zip(ks, res_i, ims_i):
+            v = get(k)
+            if v is not None:
+                acc += (re + (im << shift)) * v
+        kept = [(j, re, im) for j, re, im in zip(*_unpacked(acc, axis, bias, shift)) if re or im]
+        if kept:
+            out[i] = tuple(map(list, zip(*kept)))
+    return out
+
+
+def _bias(length, shift):
+    """Half of ``2**shift`` in each of the ``3*length`` digits of a packed row."""
+    return ((1 << (shift - 1)) * ((1 << 3 * shift * length) - 1)) // ((1 << shift) - 1)
 
 
 def _unpacked(v, cols, bias, shift):

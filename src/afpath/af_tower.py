@@ -285,10 +285,10 @@ def embed_multiplicities(diagram, n):
 
     Each unit sits at the first path into its vertex, and everything is
     computed per path id: the unit's two offsets rank the first extensions
-    of its id and the next, and each row of the image finds its terminal by
-    unranking, all on ``(level, source, target, copy)`` steps.  So no level
-    table and no path object is built, and the cost grows with the depth
-    times the vertices, not with the number of paths.
+    of its id and the next, on ``(level, source, target, copy)`` steps, and
+    each row of the image reads its terminal from the vertex's out-edges.
+    So no level table and no path object is built, and the cost grows with
+    the depth times the vertices, not with the number of paths.
     """
     d = diagram
     if not 0 <= n < d.depth:
@@ -301,14 +301,18 @@ def embed_multiplicities(diagram, n):
             raise ValueError("no path reaches %r" % (Vertex(n, v),))
         first = d._rank(n, steps)
         after = d._rank(n + 1, d._unrank(n, first + 1)) if first + 1 < count_n else count_next
-        offsets = {first: d._rank(n + 1, steps), first + 1: after}
-        den, image = _exact.extend_index(_exact.unit(first, first), offsets)
+        start = d._rank(n + 1, steps)
+        den, image = _exact.extend_index(_exact.unit(first, first), {first: start, first + 1: after})
+        # Extension t of the first path into v follows v's t-th out-edge.  A
+        # row past v's out-degree, which only a wrong rank makes, is unranked.
+        targets = [j for j, x in d._rows[n][v] for _ in range(x)]
         # The diagonal of the image, summed by the terminal of each row.
         res, ims = [0] * width, [0] * width
         for a, (cols, re, im) in image.items():
             if a in cols:
                 k = cols.index(a)
-                w = d._terminal_at(n + 1, a)
+                t = a - start
+                w = targets[t] if t < len(targets) else d._terminal_at(n + 1, a)
                 res[w] += re[k]
                 ims[w] += im[k]
         # An extended unit keeps the unit's denominator 1.

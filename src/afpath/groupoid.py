@@ -15,6 +15,11 @@ from .af_tower import jones_projection
 from .cylinder import constant
 
 
+def _check_levels(diagram, support_level, table_level):
+    if not 0 <= support_level <= table_level <= diagram.depth:
+        raise ValueError("need 0 <= support <= table <= depth, got %d, %d" % (support_level, table_level))
+
+
 class GroupoidFunction(_exact.PairTable):
     """A finitely supported kernel on level-n tail pairs, tabulated at level m.
 
@@ -26,10 +31,7 @@ class GroupoidFunction(_exact.PairTable):
 
     def __init__(self, diagram, support_level, table_level, table):
         d = diagram
-        if not 0 <= support_level <= table_level <= d.depth:
-            raise ValueError(
-                "need 0 <= support <= table <= depth, got %d, %d" % (support_level, table_level)
-            )
+        _check_levels(d, support_level, table_level)
         _, class_of = d.tail_classes(table_level, support_level)
         count = len(d.terminals(table_level))
         clean = {}
@@ -65,7 +67,9 @@ class GroupoidFunction(_exact.PairTable):
     def zero(cls, diagram, support_level=0, table_level=None):
         if table_level is None:
             table_level = support_level
-        return cls(diagram, support_level, table_level, {})
+        # The empty table reads no level table: only the levels are checked.
+        _check_levels(diagram, support_level, table_level)
+        return cls._from_index(diagram, support_level, table_level, _exact.EMPTY)
 
     def entries(self):
         """Yield (row path, col path, value) sorted by the canonical pair order."""

@@ -1,8 +1,10 @@
 """Differential tests of the exact integer-form kernels against naive Scalar loops."""
 
+import contextlib
 import random
 from fractions import Fraction
 from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -427,6 +429,151 @@ def test_product_reads_only_the_rows_of_b_that_a_reaches(monkeypatch):
         assert_same_table(pair_table(got), naive_product(a, b))
         if not a:
             assert got == EMPTY
+
+
+# -- every loop the dispatcher picks, on row indexes drawn directly --------------------
+
+_LOOPS = ("_probed_rows", "_scaled_rows", "_merged_rows", "_packed_rows", "_axis_rows")
+
+
+def traced_product(a, b):
+    """``product(a, b)`` and the names of the loops it ran, in call order."""
+    taken = []
+    with contextlib.ExitStack() as stack:
+        for name in _LOOPS:
+            loop = getattr(_exact, name)
+            spy = lambda *args, loop=loop, name=name: taken.append(name) or loop(*args)
+            stack.enter_context(mock.patch.object(_exact, name, spy))
+        got = product(a, b)
+    return got, taken
+
+
+def assert_naive_product(got, a, b):
+    """The product index is reduced and equals the naive product of its
+    operands, summed cell by cell in Gaussian integers over ``den_a * den_b``."""
+    assert_reduced_index(got)
+    (den_a, rows_a), (den_b, rows_b), (den, rows) = a, b, got
+    want = {}
+    for i, (ks, res_a, ims_a) in rows_a.items():
+        for k, x, y in zip(ks, res_a, ims_a):
+            for j, u, v in zip(*rows_b.get(k, ((), (), ()))):
+                re, im = want.get((i, j), (0, 0))
+                want[(i, j)] = (re + x * u - y * v, im + x * v + y * u)
+    want = {key: cell for key, cell in want.items() if cell != (0, 0)}
+    cells = {(i, j): (re, im) for i, row in rows.items() for j, re, im in zip(*row)}
+    assert cells.keys() == want.keys()
+    for key, (re, im) in cells.items():
+        assert (re * den_a * den_b, im * den_a * den_b) == (want[key][0] * den, want[key][1] * den)
+
+
+denominators = st.sampled_from([1, 2, 3, 6, 35])
+numerators = st.integers(-6, 6)
+
+
+@st.composite
+def row_indexes(draw, ids, columns, width, den=denominators):
+    """A reduced row index with rows at some of ``ids``, each of up to
+    ``width`` distinct columns drawn from ``columns``, zero cells dropped."""
+    rows = {}
+    for i in draw(st.lists(st.sampled_from(ids), unique=True, max_size=len(ids))):
+        cols = draw(st.lists(st.sampled_from(columns), unique=True, min_size=1, max_size=width))
+        cells = [(j, draw(numerators), draw(numerators)) for j in cols]
+        cells = [cell for cell in cells if cell[1] or cell[2]]
+        if cells:
+            rows[i] = tuple(map(list, zip(*cells)))
+    return indexed(draw(den), rows)
+
+
+@given(st.integers(0, 9), st.integers(0, 9), row_indexes(range(10), range(10), 4))
+def test_a_row_times_1_is_the_row_of_b(i, k, b):
+    # A one-row, one-entry a valued 1 takes no dispatch scan: the product
+    # holds b's row object itself whenever reducing leaves it as it is.
+    got, taken = traced_product(_exact.unit(i, k), b)
+    assert taken == []
+    assert_naive_product(got, _exact.unit(i, k), b)
+    den, rows = b
+    row = rows.get(k)
+    if row is None:
+        assert got == EMPTY
+    elif gcd(den, *row[1], *row[2]) == 1:
+        assert got[1][i] is row
+
+
+@given(
+    row_indexes(range(10), range(10), 1, den=st.just(1)),
+    row_indexes(range(10), range(10), 4),
+    st.lists(st.integers(0, 9), min_size=1, max_size=6, unique=True),
+)
+def test_one_entry_rows_of_a_share_the_rows_of_b(a, b, extra):
+    # Every row of a holds one entry valued 1, and some ids of a also hold
+    # one of its row objects; every holder gets a row, and a row of the
+    # product is b's row object when b's denominator leaves it as it is.
+    den, rows = a
+    if not rows:
+        return
+    rows = {i: (cols, [1], [0]) for i, (cols, _, _) in rows.items()}
+    first = next(iter(rows.values()))
+    rows.update((10 + i, first) for i in extra)
+    a = (1, rows)
+    got, taken = traced_product(a, b)
+    assert taken == ["_scaled_rows"]
+    assert_naive_product(got, a, b)
+    out = got[1]
+    k = first[0][0]
+    if k in b[1]:
+        assert all(out[10 + i] is out[next(iter(rows))] for i in extra)
+        if b[0] == got[0]:
+            for i, ((j,), _, _) in rows.items():
+                assert i not in out if j not in b[1] else out[i] is b[1][j]
+
+
+@given(
+    row_indexes(range(6), range(12), 12),
+    row_indexes(range(12), range(12), 6),
+    st.integers(1, 3),
+    st.lists(st.integers(0, 5), min_size=6, max_size=6),
+)
+def test_a_row_wider_than_b_has_rows_is_probed_at_b_s_ids(a, b, count, picks):
+    # b keeps 1-3 of its rows, narrow and wide; a's widest row is wider, so
+    # its rows are read only at b's row ids.  Some ids of a share a row.
+    den_b, rows_b = b
+    b = indexed(den_b, dict(list(rows_b.items())[:count]))
+    if not a[1] or not b[1]:
+        return
+    shared, copy = shared_rows(a, picks)
+    if len(b[1]) >= max(len(cols) for cols, _, _ in shared[1].values()):
+        return
+    got, taken = traced_product(shared, b)
+    assert taken[0] == "_probed_rows"
+    assert_naive_product(got, shared, b)
+    assert_shared_like(got, shared)
+    assert index_equal(got, product(copy, b))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(3, 32), st.integers(1, 4), st.booleans(), st.randoms(use_true_random=False))
+def test_wide_dense_rows_with_dropped_zero_entries(width, drops, drop_in_a, rng):
+    # Dense blocks whose rows drop a few zero entries, as random elements
+    # do: the reached rows of b fall into many column lists that overlap,
+    # so one column axis decodes fewer cells than one int per list.
+    def dense(den, dropped):
+        rows = {}
+        for i in range(width):
+            cells = [(j, rng.randint(-108, 108) or 1, rng.randint(-108, 108)) for j in range(width)]
+            for _ in range(min(dropped, width - 2)):
+                del cells[rng.randrange(len(cells))]
+            rows[i] = tuple(map(list, zip(*cells)))
+        return indexed(den, rows)
+
+    a, b = dense(35, drops if drop_in_a else 0), dense(6, drops)
+    got, taken = traced_product(a, b)
+    if not drop_in_a:
+        # Every row of a reaches every list of b, so the axis is taken when
+        # the lists' widths sum past it.
+        lists = {tuple(cols) for cols, _, _ in b[1].values()}
+        axis = len(set().union(*lists)) < sum(map(len, lists))
+        assert taken == ["_packed_rows", "_axis_rows"] if axis else ["_packed_rows"]
+    assert_naive_product(got, a, b)
 
 
 def test_reading_a_table_leaves_its_form_in_place():

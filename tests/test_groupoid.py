@@ -296,6 +296,20 @@ def test_jones_memos_leave_a_dead_diagram_to_reference_counting():
         gc.enable()
 
 
+def test_zero_checks_its_levels_and_builds_no_level_table():
+    # The validating constructor built every terminals level and the tail
+    # classes of car's 2**20 level-20 paths for an empty table.
+    d = builtin_diagram("car", 20)
+    z = GroupoidFunction.zero(d, 0, 20)
+    assert z.is_zero() and (z.support_level, z.table_level) == (0, 20)
+    kinds = ("terminals", "tail_classes", "descendants", "block_paths", "paths")
+    assert not [key for key in d._memo if key[0] in kinds]
+    for n, m in ((3, 2), (-1, 0), (0, 21)):
+        with pytest.raises(ValueError, match="need 0 <= support <= table <= depth"):
+            GroupoidFunction.zero(d, n, m)
+    assert GroupoidFunction.zero(d, 2) == GroupoidFunction(d, 2, 2, {})
+
+
 # -- separating products ------------------------------------------------------------
 
 

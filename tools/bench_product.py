@@ -10,7 +10,11 @@ return on an empty left operand), a dense 27x27 block times a diagonal,
 car's averaging projection ``e_4`` in stage 5 (32 rows of 16 entries, each
 row object held by the 16 ids of its tail class) times a 32-entry diagonal,
 and dense WxW blocks times dense WxW blocks for W = 27 and W = ``--wide``
-(294 by default: the largest tail class of the 7, 7, 6 file diagram).  Dense
+(294 by default: the largest tail class of the 7, 7, 6 file diagram).  Then
+two WxW blocks whose rows each drop 3 entries (many column lists), one
+W-wide row times a one-row diagonal (the second product of a word), uhf3's
+``e_3 * D`` times ``e_3`` at level 3 (27 ids sharing one row on each side)
+and the 0/1 identity on 32 ids times car's ``e_4`` in stage 5.  Dense
 entries are Gaussian integers with parts in [-108, 108] over a denominator,
 drawn from one seeded RNG, so every run times the same operands.
 
@@ -39,6 +43,18 @@ def dense(exact, rng, width):
     return exact.indexed(35, rows)
 
 
+def dropped(exact, rng, width, drops=3):
+    """``dense`` with ``drops`` entries of each row dropped, as zero entries
+    of a random element are: the rows fall into many column lists."""
+    rows = {}
+    for i in range(width):
+        cells = [(j, rng.randint(-108, 108) or 1, rng.randint(-108, 108)) for j in range(width)]
+        for _ in range(min(drops, width - 1)):
+            del cells[rng.randrange(len(cells))]
+        rows[i] = tuple(map(list, zip(*cells)))
+    return exact.indexed(35, rows)
+
+
 def diagonal(exact, rng, size):
     """A size x size diagonal row index with Gaussian entries over 6."""
     return exact.indexed(6, {g: ([g], [rng.randint(-9, 9) or 1], [rng.randint(-9, 9)]) for g in range(size)})
@@ -54,6 +70,12 @@ def operands(afpath, wide, seed=14):
     # Drawn last, so the other cases keep their operands.
     diag32 = diagonal(exact, rng, 32)
     jones = afpath.jones_projection(afpath.builtin_diagram("car"), 4, 5)._index
+    # Drawn after the cases above, so those keep their operands.
+    drop, drop2 = dropped(exact, rng, wide), dropped(exact, rng, wide)
+    k = wide // 2
+    diag1 = exact.indexed(6, {k: ([k], [rng.randint(1, 9)], [rng.randint(-9, 9)])})
+    e3 = afpath.jones_projection(afpath.builtin_diagram("uhf3", 3), 3)._index
+    e3d = exact.product(e3, diagonal(exact, rng, 27))
     return [
         ("unit x unit", unit(3, 5), unit(5, 7)),
         ("unit x dense27", unit(3, 5), d27),
@@ -62,6 +84,10 @@ def operands(afpath, wide, seed=14):
         ("jones x diag", jones, diag32),
         ("dense27 x dense27", d27, e27),
         ("dense%d x dense%d" % (wide, wide), big, big2),
+        ("drop%d x drop%d" % (wide, wide), drop, drop2),
+        ("row%d x diag1" % wide, (big[0], {0: big[1][0]}), diag1),
+        ("e3*D x e3", e3d, e3),
+        ("identity x jones", exact.identity_on(range(32)), jones),
     ]
 
 
