@@ -11,13 +11,26 @@ a re-indexed or extended form may not be, which costs only size: ``equal``
 and ``index_equal`` cross-multiply the denominators, and converting back
 reduces every Fraction.
 
+Scaling by a rational ``c = p/q`` is denominator arithmetic and builds no
+Scalar (``scale_index``): with ``g = gcd(p, den)`` the denominator becomes
+``(den // g) * q`` and every numerator is multiplied by ``p // g``.  As
+``gcd(den // g, p // g) = 1``, a prime of ``den // g`` that divided every
+new numerator would divide every old one, so an int multiplier keeps a
+reduced index reduced.  Only q can share a factor with every numerator;
+``indexed`` divides it out, and settles a reduced result on its first cell.
+
 Rows are never mutated: a kernel that changes a row builds new lists.  So
 several ids may hold one row object, and ids that hold one row object hold
 equal rows (``jones_projection`` shares one row per tail class among the
 class's members).  ``product`` multiplies such a row once, ``indexed``
-reduces it once and ``extend_index`` copies it once per extension, and all
-three keep it shared in their output.  Sharing also crosses operands: in
-``product`` a row times 1 is b's row, the same object.
+reduces it once, ``scale_index`` scales it once, ``index_combine`` merges
+it once and ``extend_index`` copies it once per extension, and all keep it
+shared in their output.  ``_scaled_rows`` also shares equal multiples: a
+row of b times one Gaussian integer is built once, for every id of a that
+asks for it.  Sharing also crosses operands: in ``product`` a row times 1
+is b's row, the same object; a scaling whose ``p // g`` is 1 keeps every
+row object, and ``index_combine`` keeps a row that one operand holds alone
+when its multiplier is 1.
 
 The form is the only state a table owner (``PairTable``,
 ``CylinderFunction``) keeps.  The kernels here take and return forms, add,
@@ -30,7 +43,7 @@ from fractions import Fraction
 from itertools import compress, repeat
 from math import gcd, lcm
 
-from .scalars import SCALAR_TYPES, Scalar, ZERO, as_scalar
+from .scalars import SCALAR_TYPES, Scalar, ZERO
 
 
 def form(values):
@@ -232,16 +245,20 @@ def indexed(den, rows):
             return den, rows
     if not any(cols for cols, _, _ in rows.values()):
         return EMPTY
-    # A row object that several ids hold is reduced once and stays shared.
+    return den // g, _each_row_once(rows, lambda row: (row[0], [x // g for x in row[1]], [y // g for y in row[2]]))
+
+
+def _each_row_once(rows, make):
+    """``{i: make(row)}``, with ``make`` called once per row object: ids that
+    hold one row object hold one result."""
     done = {}
     out = {}
     for i, row in rows.items():
         new = done.get(id(row))
         if new is None:
-            cols, res, ims = row
-            new = done[id(row)] = (cols, [x // g for x in res], [y // g for y in ims])
+            new = done[id(row)] = make(row)
         out[i] = new
-    return den // g, out
+    return out
 
 
 def unit(a, b):
@@ -283,14 +300,13 @@ class PairTable:
         return f._like(index_combine(f._index, g._index, -1))
 
     def __neg__(self):
-        return (-1) * self
+        return self._like(scale_index(-1, self._index))
 
     def __mul__(self, other):
         """Scaling by an int, Fraction or Scalar."""
         if not isinstance(other, SCALAR_TYPES):
             return NotImplemented
-        c = as_scalar(other)
-        return self._like(scale_index(c, self._index) if c else EMPTY)
+        return self._like(scale_index(other, self._index) if other else EMPTY)
 
     def __rmul__(self, other):
         # Scaling commutes; a subclass's own __mul__ dispatches it.
@@ -382,25 +398,35 @@ def index_equal(a, b):
 
 
 def index_combine(a, b, sign=1):
-    """The row index of the entrywise ``a + sign*b``, zero cells dropped."""
+    """The row index of the entrywise ``a + sign*b``, zero cells dropped.
+
+    A row that one operand holds alone is scaled once per row object, and
+    kept as it is when its multiplier is 1; rows that both hold at one id
+    are merged once per pair of row objects.  So shared rows stay shared.
+    """
     den_a, rows_a = a
     den_b, rows_b = b
     den = lcm(den_a, den_b)
     sa = den // den_a
     sb = sign * (den // den_b)
-    out = {}
-    for i, (cols, res, ims) in rows_a.items():
-        row = rows_b.get(i)
-        if row is None:
-            out[i] = (cols, [x * sa for x in res], [y * sa for y in ims])
-            continue
-        cells = {j: (x * sa, y * sa) for j, x, y in zip(cols, res, ims)}
-        for j, x, y in zip(*row):
-            _add_cell(cells, j, x * sb, y * sb)
-        _put_row(out, i, cells)
-    for i, (cols, res, ims) in rows_b.items():
-        if i not in rows_a:
-            out[i] = (cols, [x * sb for x in res], [y * sb for y in ims])
+    out, done = {}, {}
+    for i, row in rows_a.items():
+        other = rows_b.get(i)
+        key = (id(row), id(other))
+        if key not in done:
+            if other is None:
+                done[key] = _row_times(row, sa, 0)
+            else:
+                cells = {j: (x * sa, y * sa) for j, x, y in zip(*row)}
+                for j, x, y in zip(*other):
+                    _add_cell(cells, j, x * sb, y * sb)
+                _put_row(done, key, cells)
+                # A pair that cancels is recorded as None.
+                done.setdefault(key, None)
+        if (new := done[key]) is not None:
+            out[i] = new
+    only_b = {i: row for i, row in rows_b.items() if i not in rows_a}
+    out.update(_each_row_once(only_b, lambda row: _row_times(row, sb, 0)))
     return indexed(den, out)
 
 
@@ -412,11 +438,32 @@ def index_adjoint(idx):
 
 
 def scale_index(c, idx):
-    """The row index of ``c * table`` for a nonzero Scalar c."""
-    (cd, (cr,), (ci,)), (den, rows) = form((c,)), idx
-    return indexed(
-        cd * den, {i: (cols, *_times((cr, ci), res, ims)) for i, (cols, res, ims) in rows.items()}
-    )
+    """The row index of ``c * table`` for a nonzero int, Fraction or Scalar c.
+
+    A rational ``c = p/q`` is denominator arithmetic: with ``g = gcd(p,
+    den)`` the denominator becomes ``(den // g) * q`` and every numerator is
+    multiplied by ``p // g``, so no Scalar is built.  A multiplier of 1
+    keeps every row object, and otherwise each row object is scaled once
+    and stays shared.  A Scalar with an imaginary part is put over its own
+    denominator and multiplies each row object once as a Gaussian integer.
+    """
+    den, rows = idx
+    if isinstance(c, Scalar):
+        if c.im:
+            cd, (re,), (im,) = form((c,))
+            return indexed(cd * den, _each_row_once(rows, lambda row: _row_times(row, re, im)))
+        c = c.re
+    k, den = _rational_scale(*c.as_integer_ratio(), den)
+    if k == 1:
+        return indexed(den, rows)
+    return indexed(den, _each_row_once(rows, lambda row: _row_times(row, k, 0)))
+
+
+def _rational_scale(p, q, den):
+    """``(k, d)`` with ``(p/q) * (x/den) == (k*x)/d`` for every x: with
+    ``g = gcd(p, den)``, ``k = p // g`` and ``d = (den // g) * q``."""
+    g = gcd(p, den)
+    return p // g, den // g * q
 
 
 def product(a, b):
@@ -438,8 +485,9 @@ def product(a, b):
       one C-level scan (``_probed_rows``), and the loops below read what is
       left;
     - every row of a holds one entry (an empty a too): each row of the
-      product is one row of b times one Gaussian integer, and shares b's
-      column list;
+      product is one row of b times one Gaussian integer, built once for
+      every id of a that asks for that multiple, and shares b's column
+      list;
     - every row of b that a reaches holds one entry: each term lands in one
       column, and only a column that a row reaches twice can merge or
       cancel;
@@ -523,13 +571,27 @@ def _probed_rows(rows_a, rows_b):
 
 
 def _scaled_rows(rows_a, rows_b):
-    """The product's rows when every row of a holds one entry."""
+    """The product's rows when every row of a holds one entry.
+
+    A row of b times one Gaussian integer is built once, and every id of a
+    that asks for it holds it: a class-constant diagonal times a projection
+    makes one row per class.
+    """
     get = rows_b.get
-    out = {}
+    out, done = {}, {}
     for i, ((k,), (re,), (im,)) in rows_a.items():
         row = get(k)
-        if row is not None:
-            out[i] = _row_times(row, re, im)
+        if row is None:
+            continue
+        if re == 1 and not im:
+            # b's own row (see ``_row_times``), with no key to build.
+            out[i] = row
+            continue
+        key = (id(row), re, im)
+        new = done.get(key)
+        if new is None:
+            new = done[key] = _row_times(row, re, im)
+        out[i] = new
     return out
 
 

@@ -139,7 +139,9 @@ class AfElement(_exact.PairTable):
         return self, other
 
     def __mul__(self, other):
-        if isinstance(other, SCALAR_TYPES):
+        # A table operand is tested first: the Fraction in SCALAR_TYPES would
+        # cost every product an ABC instance check.
+        if not isinstance(other, AfElement) and isinstance(other, SCALAR_TYPES):
             return super().__mul__(other)
         f, g = self._aligned(other)
         return f._like(_exact.product(f._index, g._index))

@@ -129,6 +129,8 @@ class GroupoidFunction(_exact.PairTable):
             raise TypeError("expected a GroupoidFunction, got %s" % type(other).__name__)
         if other.diagram is not self.diagram:
             raise ValueError("operands live on different diagrams")
+        if self.support_level == other.support_level and self.table_level == other.table_level:
+            return self, other
         n = max(self.support_level, other.support_level)
         m = max(self.table_level, other.table_level)
         return self.widen(n, m), other.widen(n, m)

@@ -17,7 +17,7 @@ def test_bench_product_reports_each_case_once():
         timeout=120,
     ).stdout
     labels = ["unit x unit", "unit x dense27", "empty x dense27", "dense27 x diag27", "jones x diag", "dense27 x dense27", "dense2 x dense2"]
-    labels += ["drop2 x drop2", "row2 x diag1", "e3*D x e3", "identity x jones"]
+    labels += ["drop2 x drop2", "row2 x diag1", "e3*D x e3", "identity x jones", "Ediag x jones"]
     lines = out.splitlines()
     assert len(lines) == len(labels)
     for label, line in zip(labels, lines):

@@ -3,7 +3,7 @@
 import contextlib
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from unittest import mock
 
 import pytest
@@ -316,12 +316,17 @@ def shared_rows(idx, picks):
     return (den, shared), (den, copy)
 
 
-def assert_shared_like(out, idx):
-    """Ids that hold one row object of idx hold one row object of out."""
-    rows, held = out[1], idx[1]
+def assert_shared_like(out, idx, want):
+    """Ids that hold one row object of idx hold one row object of out, and
+    ids that hold one row object of out hold equal rows of ``want``, the
+    product computed with no row shared."""
+    rows, held, unshared = out[1], idx[1], want[1]
     for i in rows:
         for j in rows:
-            assert (rows[i] is rows[j]) == (held[i] is held[j])
+            if held[i] is held[j]:
+                assert rows[i] is rows[j]
+            if rows[i] is rows[j]:
+                assert unshared[i] == unshared[j]
 
 
 @given(tables | one_entry_rows, tables | one_entry_rows, st.lists(st.integers(0, 4), min_size=5, max_size=5))
@@ -333,7 +338,7 @@ def test_product_of_shared_rows_matches_the_unshared_copy(a, b, picks):
     got, want = product(shared, index(b)), product(copy, index(b))
     assert got[0] == want[0]
     assert list(got[1].items()) == list(want[1].items())
-    assert_shared_like(got, shared)
+    assert_shared_like(got, shared, want)
 
 
 @pytest.mark.parametrize("width", [1, 3])
@@ -351,7 +356,7 @@ def test_product_of_a_projection_shares_its_rows(car, width):
     got, want = product(e, b), product(copy, b)
     assert got[0] == want[0] and list(got[1].items()) == list(want[1].items())
     assert len({id(row) for row in got[1].values()}) == 4
-    assert_shared_like(got, e)
+    assert_shared_like(got, e, want)
 
 
 def test_indexed_keeps_shared_rows_shared():
@@ -546,8 +551,9 @@ def test_a_row_wider_than_b_has_rows_is_probed_at_b_s_ids(a, b, count, picks):
     got, taken = traced_product(shared, b)
     assert taken[0] == "_probed_rows"
     assert_naive_product(got, shared, b)
-    assert_shared_like(got, shared)
-    assert index_equal(got, product(copy, b))
+    want = product(copy, b)
+    assert_shared_like(got, shared, want)
+    assert index_equal(got, want)
 
 
 @settings(max_examples=25, deadline=None)
@@ -688,6 +694,25 @@ def test_add_and_subtract_match_naive(a, b, k):
     assert_same_table(pair_table(sums), {k: v for k, v in want_sum.items() if v})
     assert_same_table(pair_table(diffs), {k: v for k, v in want_diff.items() if v})
     assert index_combine(ia, unreduced_index(ia, k), -1) == EMPTY
+
+
+@given(tables, tables, st.lists(st.integers(0, 4), min_size=5, max_size=5), st.integers(1, 3), st.sampled_from((1, -1)))
+def test_add_and_subtract_keep_shared_rows(a, b, picks, k, sign):
+    # Rows a shares stay shared, and a row of a alone over the common
+    # denominator is a's row object; over k times it is scaled once.
+    if not a:
+        return
+    shared, copy = shared_rows(index(a), picks)
+    for other in (index(b), unreduced_index(index(b), k), shared):
+        got, want = index_combine(shared, other, sign), index_combine(copy, other, sign)
+        assert index_equal(got, want) and got[0] == want[0]
+        rows, held = got[1], shared[1]
+        for i in rows:
+            for j in rows:
+                if held.get(i) is held.get(j) and other[1].get(i) is other[1].get(j):
+                    assert rows[i] is rows[j]
+            if i in held and i not in other[1] and lcm(shared[0], other[0]) == got[0] == shared[0]:
+                assert rows[i] is held[i]
 
 
 @given(aligned, st.integers(1, 6), st.integers(1, 6))

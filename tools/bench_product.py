@@ -13,8 +13,10 @@ and dense WxW blocks times dense WxW blocks for W = 27 and W = ``--wide``
 (294 by default: the largest tail class of the 7, 7, 6 file diagram).  Then
 two WxW blocks whose rows each drop 3 entries (many column lists), one
 W-wide row times a one-row diagonal (the second product of a word), uhf3's
-``e_3 * D`` times ``e_3`` at level 3 (27 ids sharing one row on each side)
-and the 0/1 identity on 32 ids times car's ``e_4`` in stage 5.  Dense
+``e_3 * D`` times ``e_3`` at level 3 (27 ids sharing one row on each side),
+the 0/1 identity on 32 ids times car's ``e_4`` in stage 5, and a diagonal
+that is constant on each tail class of ``e_4`` times ``e_4`` in stage 5
+(the ``diag(E_n f) * e_n`` sandwich: one row product per class).  Dense
 entries are Gaussian integers with parts in [-108, 108] over a denominator,
 drawn from one seeded RNG, so every run times the same operands.
 
@@ -76,6 +78,10 @@ def operands(afpath, wide, seed=14):
     diag1 = exact.indexed(6, {k: ([k], [rng.randint(1, 9)], [rng.randint(-9, 9)])})
     e3 = afpath.jones_projection(afpath.builtin_diagram("uhf3", 3), 3)._index
     e3d = exact.product(e3, diagonal(exact, rng, 27))
+    # Drawn after every case above, so those keep their operands.
+    _, class_of = afpath.builtin_diagram("car").tail_classes(5, 4)
+    parts = [(rng.randint(-9, 9) or 1, rng.randint(-9, 9)) for _ in range(max(class_of) + 1)]
+    ediag = exact.indexed(6, {g: ([g], [parts[c][0]], [parts[c][1]]) for g, c in enumerate(class_of)})
     return [
         ("unit x unit", unit(3, 5), unit(5, 7)),
         ("unit x dense27", unit(3, 5), d27),
@@ -88,6 +94,7 @@ def operands(afpath, wide, seed=14):
         ("row%d x diag1" % wide, (big[0], {0: big[1][0]}), diag1),
         ("e3*D x e3", e3d, e3),
         ("identity x jones", exact.identity_on(range(32)), jones),
+        ("Ediag x jones", ediag, jones),
     ]
 
 
