@@ -27,10 +27,15 @@ reduces it once, ``scale_index`` scales it once, ``index_combine`` merges
 it once and ``extend_index`` copies it once per extension, and all keep it
 shared in their output.  ``_scaled_rows`` also shares equal multiples: a
 row of b times one Gaussian integer is built once, for every id of a that
-asks for it.  Sharing also crosses operands: in ``product`` a row times 1
-is b's row, the same object; a scaling whose ``p // g`` is 1 keeps every
-row object, and ``index_combine`` keeps a row that one operand holds alone
-when its multiplier is 1.
+asks for it.  Sharing in b pays too: a row of a that reaches one row object
+R of b at every column is ``(sum of its entries) * R`` (``_summed_rows``),
+so ``(e_n D_f) * e_n`` makes one row per class with no packing.  Sharing
+never changes a product's bytes: ``product``'s loop chooser counts cells
+for every id of a, a shared row once per holder.  Sharing also crosses
+operands: in ``product`` a row times 1 is b's row, the same object; a
+scaling whose ``p // g`` is 1 keeps every row object, and
+``index_combine`` keeps a row that one operand holds alone when its
+multiplier is 1.
 
 The form is the only state a table owner (``PairTable``,
 ``CylinderFunction``) keeps.  The kernels here take and return forms, add,
@@ -39,9 +44,11 @@ Fractions, and only the read accessors call it.  Results equal the naive
 Scalar computation, so reports do not change.
 """
 
+from collections import Counter
 from fractions import Fraction
 from itertools import compress, repeat
 from math import gcd, lcm
+from operator import is_
 
 from .scalars import SCALAR_TYPES, Scalar, ZERO
 
@@ -488,13 +495,20 @@ def product(a, b):
       product is one row of b times one Gaussian integer, built once for
       every id of a that asks for that multiple, and shares b's column
       list;
+    - a's first row reaches one row object of b at its first and last
+      columns: each row of a that reaches one row object R at every
+      column (tested by ``is``) is ``(sum of its entries) * R``, built
+      once per multiple (``_summed_rows``); the other rows go on to the
+      loops below, and the product keeps a's id order;
     - every row of b that a reaches holds one entry: each term lands in one
       column, and only a column that a row reaches twice can merge or
       cancel;
     - otherwise each reached row of b is packed into one int (Kronecker
       substitution, see ``_packed_rows``) and a row of the product is a
       few int multiply-adds and decodes, grouped by column list or on one
-      column axis, whichever decodes fewer cells.
+      column axis, whichever decodes fewer cells over every id of a (a
+      row that several ids hold counts once per id, so how a shares its
+      rows never changes the loop or a row's column order).
     """
     den_a, rows_a = a
     den_b, rows_b = b
@@ -518,12 +532,25 @@ def product(a, b):
     if width <= 1:
         rows = _scaled_rows(rows_a, rows_b)
     else:
-        reach = {k for ks, _, _ in rows_a.values() for k in ks}
-        reached = {k: row for k in reach if (row := rows_b.get(k)) is not None}
-        if all(len(cols) == 1 for cols, _, _ in reached.values()):
-            rows = _merged_rows(rows_a, reached)
-        else:
-            rows = _packed_rows(rows_a, reached, width)
+        rows, rest = {}, rows_a
+        ks = next(iter(rows_a.values()))[0]
+        if rows_b.get(ks[0]) is rows_b.get(ks[-1]) is not None:
+            rows, rest = _summed_rows(rows_a, rows_b)
+        if rest:
+            reach = {k for ks, _, _ in rest.values() for k in ks}
+            reached = {k: row for k in reach if (row := rows_b.get(k)) is not None}
+            if all(len(cols) == 1 for cols, _, _ in reached.values()):
+                more = _merged_rows(rest, reached)
+            else:
+                # The loop chooser counts every id of a, however many hold a row.
+                holders = {} if held is None else {holder[r]: n for r, n in Counter(held).items()}
+                more = _packed_rows(rest, reached, width, holders)
+            if rows and held is None:
+                # Keep a's id order.
+                more.update(rows)
+                rows = {i: more[i] for i in rows_a if i in more}
+            else:
+                rows.update(more)
     if held is not None:
         rows = {i: row for i, r in zip(every_a, held) if (row := rows.get(holder[r])) is not None}
     return indexed(den_a * den_b, rows)
@@ -595,6 +622,35 @@ def _scaled_rows(rows_a, rows_b):
     return out
 
 
+def _summed_rows(rows_a, rows_b):
+    """The product's rows of a that reach one row object R of b at every
+    column, and the rows of a left for the other loops.
+
+    Such a row's product is ``(sum of its entries) * R``: two C-level sums
+    and one ``_row_times``, built once per ``(R, re, im)`` and held by every
+    id of a that asks for it.  A projection's rows times a projection make
+    one row per class.  Only ``is`` decides that a column reaches R.
+    """
+    get = rows_b.get
+    out, rest, done = {}, {}, {}
+    for i, row in rows_a.items():
+        ks, res, ims = row
+        first = get(ks[0])
+        if first is None or not all(map(is_, map(get, ks), repeat(first))):
+            rest[i] = row
+            continue
+        re, im = sum(res), sum(ims)
+        if not (re or im):
+            # The row's terms cancel.
+            continue
+        key = (id(first), re, im)
+        new = done.get(key)
+        if new is None:
+            new = done[key] = _row_times(first, re, im)
+        out[i] = new
+    return out, rest
+
+
 def _row_times(row, re, im):
     """A row of b times the Gaussian integer ``re + im*i``: b's row object
     itself when that is 1, so it stays shared with b."""
@@ -629,7 +685,7 @@ def _merged_rows(rows_a, rows_b):
     return out
 
 
-def _packed_rows(rows_a, reached, width):
+def _packed_rows(rows_a, reached, width, holders):
     """The product's rows, with each reached row of b packed into one int.
 
     A Gaussian integer ``re + im*i`` is the int ``re + im*2**shift``, and a
@@ -650,6 +706,11 @@ def _packed_rows(rows_a, reached, width):
     overlap so much that those decodes would read more cells than one int
     per row of a on the sorted union of the lists (dense rows that drop a
     few zero entries), every row of b is packed on that one axis instead.
+
+    Both counts are taken over every id of a: ``holders[i]`` is the number
+    of ids of a whose one row object id i stands for (1 when absent).  So
+    the choice, and with it the order of a row's columns, does not depend on
+    how a shares its rows.
     """
     rows = {id(row): row for row in reached.values()}
     shift = (width * _top(rows_a.values()) * _top(rows.values())).bit_length() + 2
@@ -661,12 +722,14 @@ def _packed_rows(rows_a, reached, width):
         group_of = {k: group[id(row)] for k, row in reached.items()}
         widths = list(map(len, lists))
         axis = sorted(set().union(*lists))
-        grouped = 0
-        for ks, _, _ in rows_a.values():
+        ids = grouped = 0
+        for i, (ks, _, _) in rows_a.items():
             reaches = set(map(group_of.get, ks))
             reaches.discard(None)
-            grouped += sum(map(widths.__getitem__, reaches))
-        if len(axis) * len(rows_a) < grouped:
+            n = holders.get(i, 1)
+            ids += n
+            grouped += n * sum(map(widths.__getitem__, reaches))
+        if len(axis) * ids < grouped:
             return _axis_rows(rows_a, reached, rows, axis, shift)
     columns = [(list(cols), _bias(len(cols), shift)) for cols in lists]
     packed = {}

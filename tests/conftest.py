@@ -1,6 +1,12 @@
 import pytest
+from hypothesis import settings
 
 from afpath import builtin_diagram
+
+# ``--hypothesis-profile=deep`` runs each property test on many more fresh
+# examples, with no example database, so a divergence that a default run
+# meets only by chance shows up.  The default profile is left as it is.
+settings.register_profile("deep", max_examples=2000, database=None, deadline=None)
 
 
 @pytest.fixture(scope="session")

@@ -7,7 +7,7 @@ from math import gcd, lcm
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from afpath import (
     CylinderFunction,
@@ -329,7 +329,14 @@ def assert_shared_like(out, idx, want):
                 assert unshared[i] == unshared[j]
 
 
+_i = Scalar(0, 1)
+
+
 @given(tables | one_entry_rows, tables | one_entry_rows, st.lists(st.integers(0, 4), min_size=5, max_size=5))
+# The shared a once took the grouped packed loop and the copy the axis loop,
+# which list a row's columns in different orders.
+@example(dict.fromkeys([(2, 1), (0, 0), (1, 0), (2, 2), (3, 0)], _i), dict.fromkeys([(1, 1), (1, 0), (2, 0)], _i), [0, 0, 0, 1, 0])
+@example(dict.fromkeys([(2, 0), (2, 1), (0, 0), (2, 2)], _i), dict.fromkeys([(0, 1), (0, 0), (1, 0)], _i), [0, 0, 0, 0, 0])
 def test_product_of_shared_rows_matches_the_unshared_copy(a, b, picks):
     # One-entry rows of a or of b, and wider ones, reach each of the loops.
     if not a:
@@ -399,10 +406,19 @@ class _Rows(dict):
     items = values = keys = __iter__ = _scan
 
 
+def one_object_per_row(rows):
+    """The row map with ids that hold equal rows holding one row object, as
+    the members of a projection's tail class do."""
+    seen = {}
+    return {k: seen.setdefault(repr(row), row) for k, row in rows.items()}
+
+
 def test_product_reads_only_the_rows_of_b_that_a_reaches(monkeypatch):
-    # Each case names the loop that product takes from the rows it reads:
-    # scaled rows (every row of a holds one entry, or a is empty), merged
-    # rows (every row of b that a reaches holds one entry) or packed rows.
+    # Each case names the loops that product takes from the rows it reads:
+    # summed rows (a row of a reaches one row object of b at every column,
+    # tried when a's first row does at its ends), then scaled rows (every
+    # row of a holds one entry, or a is empty), merged rows (every row of b
+    # that a reaches holds one entry) or packed rows for the rest.
     dense = {(k, j): Scalar(Fraction(k + 1, j + 2), j % 3 - 1) for k in range(16) for j in range(16)}
     one_entry = {(k, (5 * k) % 7): Scalar(Fraction(k + 1, 3), k % 3 - 1) for k in range(16)}
     # Rows 0-7 hold one entry each; rows 8-15 are wide.
@@ -411,34 +427,58 @@ def test_product_reads_only_the_rows_of_b_that_a_reaches(monkeypatch):
     # Row 2 holds small numerators; row 9, never reached, numerators of 2**70 and more.
     huge = {(2, 0): Scalar(3, -1), (2, 4): Scalar(-2), (3, 1): Scalar(1, 1)}
     huge.update(((9, j), Scalar(2**70 + j, -(2**71))) for j in range(3))
+    # Rows 0-7 are one row object, as a tail class's rows of a projection
+    # are; rows 8-15 are dense.
+    projection = {(k, j): Scalar(Fraction(1, j + 2), j % 2) for k in range(8) for j in range(6)}
+    projection.update((key, x) for key, x in dense.items() if key[0] >= 8)
     cases = [
-        ({(0, 3): Scalar(2), (1, 3): Scalar(0, 1), (2, 11): Scalar(Fraction(-1, 3)), (2, 20): Scalar(5)}, dense, "packed"),
-        ({(0, 3): Scalar(2), (1, 11): Scalar(0, 1), (4, 20): Scalar(Fraction(-1, 3))}, dense, "scaled"),
-        ({(0, 3): Scalar(2), (0, 5): Scalar(0, 1), (2, 11): Scalar(Fraction(-1, 3)), (2, 20): Scalar(5)}, one_entry, "merged"),
-        ({}, dense, "scaled"),
-        ({(0, 1): Scalar(2), (0, 6): Scalar(0, 1), (3, 2): Scalar(-1), (3, 20): Scalar(5)}, mixed, "merged"),
-        ({(0, 2): Scalar(Fraction(1, 5)), (0, 3): Scalar(0, 4), (1, 2): Scalar(7, 1), (1, 8): Scalar(1)}, huge, "packed"),
+        # Row 0's one entry reaches one row of b: the one-entry rows are
+        # summed rows, and row 2 is packed.
+        ({(0, 3): Scalar(2), (1, 3): Scalar(0, 1), (2, 11): Scalar(Fraction(-1, 3)), (2, 20): Scalar(5)}, dense, ["summed", "packed"]),
+        ({(0, 3): Scalar(2), (1, 11): Scalar(0, 1), (4, 20): Scalar(Fraction(-1, 3))}, dense, ["scaled"]),
+        ({(0, 3): Scalar(2), (0, 5): Scalar(0, 1), (2, 11): Scalar(Fraction(-1, 3)), (2, 20): Scalar(5)}, one_entry, ["merged"]),
+        ({}, dense, ["scaled"]),
+        ({(0, 1): Scalar(2), (0, 6): Scalar(0, 1), (3, 2): Scalar(-1), (3, 20): Scalar(5)}, mixed, ["merged"]),
+        ({(0, 2): Scalar(Fraction(1, 5)), (0, 3): Scalar(0, 4), (1, 2): Scalar(7, 1), (1, 8): Scalar(1)}, huge, ["packed"]),
+        # Every wide row reaches the shared row; row 4's terms cancel.
+        (
+            {(0, 0): Scalar(2), (0, 5): Scalar(0, 1), (2, 3): Scalar(Fraction(-1, 3)), (2, 6): Scalar(1, 1),
+             (2, 7): Scalar(5), (4, 1): Scalar(1, 2), (4, 2): Scalar(-1, -2), (5, 4): Scalar(0, 3)},
+            projection,
+            ["summed"],
+        ),
+        # Rows 0 and 3 reach the shared row, row 1 two dense rows.
+        (
+            {(0, 1): Scalar(3), (0, 4): Scalar(0, -1), (1, 8): Scalar(2), (1, 9): Scalar(Fraction(1, 2)),
+             (3, 2): Scalar(-1), (3, 7): Scalar(5)},
+            projection,
+            ["summed", "packed"],
+        ),
+        # Row 0's ends reach the shared row and its middle a dense row.
+        ({(0, 2): Scalar(1), (0, 9): Scalar(0, 2), (0, 5): Scalar(-3)}, projection, ["summed", "packed"]),
     ]
     taken = []
-    for name in ("scaled", "merged", "packed"):
+    for name in ("summed", "scaled", "merged", "packed"):
         loop = getattr(_exact, "_%s_rows" % name)
         spy = lambda *args, loop=loop, name=name: taken.append(name) or loop(*args)
         monkeypatch.setattr(_exact, "_%s_rows" % name, spy)
-    for a, b, loop in cases:
+    for a, b, loops in cases:
         den, rows = index(b)
-        rows = _Rows(rows)
+        rows = _Rows(one_object_per_row(rows))
         taken.clear()
         got = product(index(a), (den, rows))
-        assert taken == [loop]
+        assert taken == loops
         assert rows.read == {k for _, k in a}
         assert_same_table(pair_table(got), naive_product(a, b))
+        # The rows come in a's id order, whichever loop made them.
+        assert list(got[1]) == [i for i in index(a)[1] if i in got[1]]
         if not a:
             assert got == EMPTY
 
 
 # -- every loop the dispatcher picks, on row indexes drawn directly --------------------
 
-_LOOPS = ("_probed_rows", "_scaled_rows", "_merged_rows", "_packed_rows", "_axis_rows")
+_LOOPS = ("_probed_rows", "_summed_rows", "_scaled_rows", "_merged_rows", "_packed_rows", "_axis_rows")
 
 
 def traced_product(a, b):
@@ -469,6 +509,27 @@ def assert_naive_product(got, a, b):
     assert cells.keys() == want.keys()
     for key, (re, im) in cells.items():
         assert (re * den_a * den_b, im * den_a * den_b) == (want[key][0] * den, want[key][1] * den)
+
+
+def test_summed_rows_build_each_multiple_of_a_shared_row_once():
+    # Ids 0-2 of b hold R and id 3 holds S.  Rows 0, 1 and 2 of a reach R
+    # at every column and sum to 2 + i; row 4 sums to 1; row 3 reaches S too,
+    # on a column axis.
+    r, s = ([0, 1], [1, 2], [0, 1]), ([1, 2], [3, 1], [1, 0])
+    b = (1, {0: r, 1: r, 2: r, 3: s})
+    a = (1, {
+        0: ([0, 1], [1, 1], [0, 1]),
+        1: ([2], [2], [1]),
+        2: ([1, 2], [3, -1], [1, 0]),
+        4: ([0, 2], [2, -1], [1, -1]),
+        3: ([0, 3], [1, 1], [0, 0]),
+    })
+    got, taken = traced_product(a, b)
+    assert taken == ["_summed_rows", "_packed_rows", "_axis_rows"]
+    assert_naive_product(got, a, b)
+    rows = got[1]
+    assert list(rows) == [0, 1, 2, 4, 3]
+    assert rows[0] is rows[1] is rows[2] and rows[4] is r
 
 
 denominators = st.sampled_from([1, 2, 3, 6, 35])
@@ -553,6 +614,26 @@ def test_a_row_wider_than_b_has_rows_is_probed_at_b_s_ids(a, b, count, picks):
     assert_naive_product(got, shared, b)
     want = product(copy, b)
     assert_shared_like(got, shared, want)
+    assert index_equal(got, want)
+
+
+@given(
+    row_indexes(range(8), range(8), 5),
+    row_indexes(range(8), range(8), 4),
+    st.lists(st.integers(0, 2), min_size=8, max_size=8),
+    st.lists(st.integers(0, 7), min_size=8, max_size=8),
+)
+def test_rows_that_reach_one_shared_row_of_b(a, b, picks_b, picks_a):
+    # The ids of b hold at most three row objects, so a row of a often
+    # reaches one row object at every column; some ids of a share a row too.
+    if not b[1]:
+        return
+    if a[1]:
+        a, _ = shared_rows(a, picks_a)
+    shared, copy = shared_rows(b, picks_b)
+    got, want = product(a, shared), product(a, copy)
+    assert_naive_product(got, a, shared)
+    assert_shared_like(got, a, want)
     assert index_equal(got, want)
 
 
