@@ -629,7 +629,8 @@ def _summed_rows(rows_a, rows_b):
     Such a row's product is ``(sum of its entries) * R``: two C-level sums
     and one ``_row_times``, built once per ``(R, re, im)`` and held by every
     id of a that asks for it.  A projection's rows times a projection make
-    one row per class.  Only ``is`` decides that a column reaches R.
+    one row per class.  Only ``is`` decides that a column reaches R: ``==``
+    would compare rows cell by cell.
     """
     get = rows_b.get
     out, rest, done = {}, {}, {}
