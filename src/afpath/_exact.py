@@ -29,12 +29,13 @@ shared in their output.  ``_scaled_rows`` also shares equal multiples: a
 row of b times one Gaussian integer is built once, for every id of a that
 asks for it.  Sharing in b pays too: a row of a that reaches one row object
 R of b at every column is ``(sum of its entries) * R`` (``_summed_rows``),
-so ``(e_n D_f) * e_n`` makes one row per class with no packing.  Sharing
-never changes a product's bytes: ``product``'s loop chooser counts cells
-for every id of a, a shared row once per holder.  Sharing also crosses
-operands: in ``product`` a row times 1 is b's row, the same object; a
-scaling whose ``p // g`` is 1 keeps every row object, and
-``index_combine`` keeps a row that one operand holds alone when its
+so ``(e_n D_f) * e_n`` makes one row per class with no packing.  Given b,
+a row's columns and their order depend only on a's contents, so sharing in
+a never changes a product's bytes.  Sharing in b can reorder a row's
+columns, never its cells: the rows ``_summed_rows`` takes join no part.
+Sharing also crosses operands: in ``product`` a row times 1 is b's row,
+the same object; a scaling whose ``p // g`` is 1 keeps every row object,
+and ``index_combine`` keeps a row that one operand holds alone when its
 multiplier is 1.
 
 The form is the only state a table owner (``PairTable``,
@@ -44,7 +45,6 @@ Fractions, and only the read accessors call it.  Results equal the naive
 Scalar computation, so reports do not change.
 """
 
-from collections import Counter
 from fractions import Fraction
 from itertools import compress, repeat
 from math import gcd, lcm
@@ -484,31 +484,25 @@ def product(a, b):
     several ids of b hold is packed and scanned once.  A row of a whose one
     entry is 1 yields b's row object itself.
 
-    The loop is chosen per call by counting what each would read or decode:
+    The loop is chosen per call by the shape of what a reaches:
 
     - a is one row of one entry: that row of b, scaled, with no loop and
       no scan (no other id holds the row, so no sharing is lost);
-    - a row of a wider than b has rows: it is read only at b's row ids, by
-      one C-level scan (``_probed_rows``), and the loops below read what is
-      left;
+    - a row of a wider than b has rows is read only at b's row ids, by one
+      C-level scan (``_probed_rows``), before the loops below;
     - every row of a holds one entry (an empty a too): each row of the
-      product is one row of b times one Gaussian integer, built once for
-      every id of a that asks for that multiple, and shares b's column
-      list;
+      product is one row of b times one Gaussian integer, built once per
+      multiple, sharing b's column list (``_scaled_rows``);
     - a's first row reaches one row object of b at its first and last
       columns: each row of a that reaches one row object R at every
       column (tested by ``is``) is ``(sum of its entries) * R``, built
       once per multiple (``_summed_rows``); the other rows go on to the
       loops below, and the product keeps a's id order;
     - every row of b that a reaches holds one entry: each term lands in one
-      column, and only a column that a row reaches twice can merge or
-      cancel;
-    - otherwise each reached row of b is packed into one int (Kronecker
-      substitution, see ``_packed_rows``) and a row of the product is a
-      few int multiply-adds and decodes, grouped by column list or on one
-      column axis, whichever decodes fewer cells over every id of a (a
-      row that several ids hold counts once per id, so how a shares its
-      rows never changes the loop or a row's column order).
+      column (``_merged_rows``);
+    - otherwise each reached row of b is packed into one int, and a row of
+      the product is a few int multiply-adds and one decode per part of
+      the columns it reaches (``_packed_rows``).
     """
     den_a, rows_a = a
     den_b, rows_b = b
@@ -542,9 +536,7 @@ def product(a, b):
             if all(len(cols) == 1 for cols, _, _ in reached.values()):
                 more = _merged_rows(rest, reached)
             else:
-                # The loop chooser counts every id of a, however many hold a row.
-                holders = {} if held is None else {holder[r]: n for r, n in Counter(held).items()}
-                more = _packed_rows(rest, reached, width, holders)
+                more = _packed_rows(rest, reached, width)
             if rows and held is None:
                 # Keep a's id order.
                 more.update(rows)
@@ -686,11 +678,11 @@ def _merged_rows(rows_a, rows_b):
     return out
 
 
-def _packed_rows(rows_a, reached, width, holders):
+def _packed_rows(rows_a, reached, width):
     """The product's rows, with each reached row of b packed into one int.
 
     A Gaussian integer ``re + im*i`` is the int ``re + im*2**shift``, and a
-    row of b on a column list is the int with the entry in the list's t-th
+    row of b on a column axis is the int with its entry in the axis's t-th
     column at bit ``3*shift*t``.  One int multiply-add by an entry of a
     then accumulates ``re*re'``, ``re*im' + im*re'`` and ``im*im'`` of
     every column of the row in separate ``shift``-bit digits.  A cell of a
@@ -701,45 +693,36 @@ def _packed_rows(rows_a, reached, width, holders):
     each cell a plain ``3*shift``-bit field, cut off by one mask and one
     shift.
 
-    Each row object of b is packed once, however many ids hold it.  Rows of
-    b with equal column lists share one list, and a row of a accumulates one
-    int per list it reaches and decodes each.  When the reached rows' lists
-    overlap so much that those decodes would read more cells than one int
-    per row of a on the sorted union of the lists (dense rows that drop a
-    few zero entries), every row of b is packed on that one axis instead.
-
-    Both counts are taken over every id of a: ``holders[i]`` is the number
-    of ids of a whose one row object id i stands for (1 when absent).  So
-    the choice, and with it the order of a row's columns, does not depend on
-    how a shares its rows.
+    Each row object of b is packed once, on the sorted axis of its part
+    (``_parts``).  A row of a accumulates one int per part it reaches and
+    decodes each once; parts share no column, so the decoded parts are
+    joined with their zero cells dropped.  A row that decodes one part with
+    no zero cell keeps the part's axis list, shared.
     """
     rows = {id(row): row for row in reached.values()}
     shift = (width * _top(rows_a.values()) * _top(rows.values())).bit_length() + 2
     cell = 3 * shift
-    lists, group = {}, {}
-    for key, (cols, _, _) in rows.items():
-        group[key] = lists.setdefault(tuple(cols), len(lists))
-    if len(lists) > 1:
-        group_of = {k: group[id(row)] for k, row in reached.items()}
-        widths = list(map(len, lists))
-        axis = sorted(set().union(*lists))
-        ids = grouped = 0
-        for i, (ks, _, _) in rows_a.items():
-            reaches = set(map(group_of.get, ks))
-            reaches.discard(None)
-            n = holders.get(i, 1)
-            ids += n
-            grouped += n * sum(map(widths.__getitem__, reaches))
-        if len(axis) * ids < grouped:
-            return _axis_rows(rows_a, reached, rows, axis, shift)
-    columns = [(list(cols), _bias(len(cols), shift)) for cols in lists]
-    packed = {}
+    part, axes = _parts(dict.fromkeys(tuple(cols) for cols, _, _ in rows.values()))
+    # The bias adds half of ``2**shift`` to each of the ``3*len(axis)`` digits.
+    half, digit = 1 << (shift - 1), (1 << shift) - 1
+    columns = {p: (axis, half * ((1 << cell * len(axis)) - 1) // digit) for p, axis in axes.items()}
+    packed, ats = {}, {}
     for key, (cols, res, ims) in rows.items():
-        g = group[key]
+        p = part[cols[0]]
+        axis = axes[p]
         v = 0
-        for x, y in zip(reversed(res), reversed(ims)):
-            v = (v << cell) + x + (y << shift)
-        packed[key] = (g, v)
+        if cols == axis:
+            for x, y in zip(reversed(res), reversed(ims)):
+                v = (v << cell) + x + (y << shift)
+        else:
+            # A zero field at each axis column the row lacks.
+            at = ats.get(p) or ats.setdefault(p, {j: t for t, j in enumerate(axis)})
+            fields = [0] * len(axis)
+            for j, x, y in zip(cols, res, ims):
+                fields[at[j]] = x + (y << shift)
+            for c in reversed(fields):
+                v = (v << cell) + c
+        packed[key] = (p, v)
     get = {k: packed[id(row)] for k, row in reached.items()}.get
     out = {}
     for i, (ks, res_i, ims_i) in rows_a.items():
@@ -747,57 +730,34 @@ def _packed_rows(rows_a, reached, width, holders):
         for k, re, im in zip(ks, res_i, ims_i):
             row = get(k)
             if row is not None:
-                g, v = row
-                acc[g] = acc.get(g, 0) + (re + (im << shift)) * v
-        parts = [_unpacked(v, *columns[g], shift) for g, v in acc.items()]
-        if len(parts) == 1:
-            _, res, ims = parts[0]
-            if not (0 in res and 0 in ims):
-                out[i] = parts[0]
-                continue
-        cells = {}
-        for part in parts:
-            for j, re, im in zip(*part):
-                _add_cell(cells, j, re, im)
-        _put_row(out, i, cells)
-    return out
-
-
-def _axis_rows(rows_a, reached, rows, axis, shift):
-    """``_packed_rows`` with every reached row of b packed on one column axis.
-
-    A row of b holds a zero cell at each axis column it lacks, so a row of
-    a accumulates one int and decodes it once; its zero cells are dropped.
-    """
-    cell = 3 * shift
-    at = {j: t for t, j in enumerate(axis)}
-    packed = {}
-    for key, (cols, res, ims) in rows.items():
-        fields = [0] * len(axis)
-        for j, x, y in zip(cols, res, ims):
-            fields[at[j]] = x + (y << shift)
-        v = 0
-        for c in reversed(fields):
-            v = (v << cell) + c
-        packed[key] = v
-    get = {k: packed[id(row)] for k, row in reached.items()}.get
-    bias = _bias(len(axis), shift)
-    out = {}
-    for i, (ks, res_i, ims_i) in rows_a.items():
-        acc = 0
-        for k, re, im in zip(ks, res_i, ims_i):
-            v = get(k)
-            if v is not None:
-                acc += (re + (im << shift)) * v
-        kept = [(j, re, im) for j, re, im in zip(*_unpacked(acc, axis, bias, shift)) if re or im]
-        if kept:
+                p, v = row
+                acc[p] = acc.get(p, 0) + (re + (im << shift)) * v
+        decoded = [_unpacked(v, *columns[p], shift) for p, v in acc.items()]
+        if len(decoded) == 1 and not (0 in decoded[0][1] and 0 in decoded[0][2]):
+            out[i] = decoded[0]
+        elif kept := [c for row in decoded for c in zip(*row) if c[1] or c[2]]:
             out[i] = tuple(map(list, zip(*kept)))
     return out
 
 
-def _bias(length, shift):
-    """Half of ``2**shift`` in each of the ``3*length`` digits of a packed row."""
-    return ((1 << (shift - 1)) * ((1 << 3 * shift * length) - 1)) // ((1 << shift) - 1)
+def _parts(lists):
+    """``(part, axes)``: the column lists joined into parts where they share
+    a column; column j is in part ``part[j]``, whose sorted columns are
+    ``axes[part[j]]``.  A list joins the largest part it meets, and the
+    others move into it, so a column moves O(log n) times."""
+    part, members = {}, {}
+    for cols in lists:
+        met = set(map(part.get, cols)) - {None}
+        # A new part is named by one of its columns.
+        p = max(met, key=lambda q: len(members[q])) if met else cols[0]
+        big = members.setdefault(p, set())
+        for q in met - {p}:
+            moved = members.pop(q)
+            big |= moved
+            part.update(zip(moved, repeat(p)))
+        big.update(cols)
+        part.update(zip(cols, repeat(p)))
+    return part, {p: sorted(cols) for p, cols in members.items()}
 
 
 def _unpacked(v, cols, bias, shift):
@@ -849,7 +809,7 @@ def extend_index(idx, offsets):
     edges, and copy t of a row has column t of its columns' extension
     ranges.  The copies of a row share its numerator lists, and a row object
     that several ids hold is copied once: copy t is shared by the t-th
-    extensions of all its holders, which end at one vertex.
+    extensions of every id that holds it, which end at one vertex.
     """
     den, rows = idx
     out, done = {}, {}

@@ -478,7 +478,7 @@ def test_product_reads_only_the_rows_of_b_that_a_reaches(monkeypatch):
 
 # -- every loop the dispatcher picks, on row indexes drawn directly --------------------
 
-_LOOPS = ("_probed_rows", "_summed_rows", "_scaled_rows", "_merged_rows", "_packed_rows", "_axis_rows")
+_LOOPS = ("_probed_rows", "_summed_rows", "_scaled_rows", "_merged_rows", "_packed_rows")
 
 
 def traced_product(a, b):
@@ -491,6 +491,39 @@ def traced_product(a, b):
             stack.enter_context(mock.patch.object(_exact, name, spy))
         got = product(a, b)
     return got, taken
+
+
+def decoded_product(a, b):
+    """``traced_product(a, b)`` and the column axis of each packed int it
+    decoded, in call order."""
+    axes = []
+    unpacked = _exact._unpacked
+    spy = lambda v, cols, *args: axes.append(list(cols)) or unpacked(v, cols, *args)
+    with mock.patch.object(_exact, "_unpacked", spy):
+        got, taken = traced_product(a, b)
+    return got, taken, axes
+
+
+def naive_parts(lists):
+    """The column sets of some column lists, joined where they share a column."""
+    parts = []
+    for cols in map(set, lists):
+        met = [p for p in parts if p & cols]
+        parts = [p for p in parts if not p & cols] + [cols.union(*met)]
+    return parts
+
+
+def part_decodes(a, b):
+    """The sorted axis of each part that each row of a reaches: one decode
+    per (row of a, part reached)."""
+    rows_a, rows_b = a[1], b[1]
+    reached = {k for ks, _, _ in rows_a.values() for k in ks if k in rows_b}
+    parts = naive_parts(rows_b[k][0] for k in reached)
+    want = []
+    for ks, _, _ in rows_a.values():
+        cols = {j for k in ks if k in rows_b for j in rows_b[k][0]}
+        want += sorted(sorted(p) for p in parts if p & cols)
+    return want
 
 
 def assert_naive_product(got, a, b):
@@ -514,7 +547,7 @@ def assert_naive_product(got, a, b):
 def test_summed_rows_build_each_multiple_of_a_shared_row_once():
     # Ids 0-2 of b hold R and id 3 holds S.  Rows 0, 1 and 2 of a reach R
     # at every column and sum to 2 + i; row 4 sums to 1; row 3 reaches S too,
-    # on a column axis.
+    # whose columns share one with R's, so it decodes one part.
     r, s = ([0, 1], [1, 2], [0, 1]), ([1, 2], [3, 1], [1, 0])
     b = (1, {0: r, 1: r, 2: r, 3: s})
     a = (1, {
@@ -524,8 +557,9 @@ def test_summed_rows_build_each_multiple_of_a_shared_row_once():
         4: ([0, 2], [2, -1], [1, -1]),
         3: ([0, 3], [1, 1], [0, 0]),
     })
-    got, taken = traced_product(a, b)
-    assert taken == ["_summed_rows", "_packed_rows", "_axis_rows"]
+    got, taken, axes = decoded_product(a, b)
+    assert taken == ["_summed_rows", "_packed_rows"]
+    assert axes == [[0, 1, 2]]
     assert_naive_product(got, a, b)
     rows = got[1]
     assert list(rows) == [0, 1, 2, 4, 3]
@@ -642,7 +676,7 @@ def test_rows_that_reach_one_shared_row_of_b(a, b, picks_b, picks_a):
 def test_wide_dense_rows_with_dropped_zero_entries(width, drops, drop_in_a, rng):
     # Dense blocks whose rows drop a few zero entries, as random elements
     # do: the reached rows of b fall into many column lists that overlap,
-    # so one column axis decodes fewer cells than one int per list.
+    # and a row of a decodes one int per part those lists join into.
     def dense(den, dropped):
         rows = {}
         for i in range(width):
@@ -653,14 +687,44 @@ def test_wide_dense_rows_with_dropped_zero_entries(width, drops, drop_in_a, rng)
         return indexed(den, rows)
 
     a, b = dense(35, drops if drop_in_a else 0), dense(6, drops)
-    got, taken = traced_product(a, b)
-    if not drop_in_a:
-        # Every row of a reaches every list of b, so the axis is taken when
-        # the lists' widths sum past it.
-        lists = {tuple(cols) for cols, _, _ in b[1].values()}
-        axis = len(set().union(*lists)) < sum(map(len, lists))
-        assert taken == ["_packed_rows", "_axis_rows"] if axis else ["_packed_rows"]
+    got, taken, axes = decoded_product(a, b)
+    assert taken == ["_packed_rows"]
+    assert sorted(axes) == sorted(part_decodes(a, b))
     assert_naive_product(got, a, b)
+
+
+def test_packed_rows_decode_column_disjoint_parts():
+    # b has two blocks that share no column.  In the first, rows 0 and 1
+    # hold disjoint column lists, and row 2, which overlaps both, joins them
+    # into one part; rows 10 and 11 of the second hold its two columns, row
+    # 11 in reverse order.
+    b = (1, {
+        0: ([0, 1], [1, 1], [0, 0]),
+        1: ([2, 3], [1, 1], [0, 0]),
+        2: ([2, 1], [2, -1], [1, 0]),
+        10: ([10, 11], [3, 1], [0, 2]),
+        11: ([11, 10], [1, -1], [1, 0]),
+    })
+    a = (1, {
+        # reaches both parts: one decode each, joined in the order reached
+        0: ([0, 10, 1, 11], [1, 1, 2, 1], [0, 1, 0, 0]),
+        # one part, no zero cell: the part's axis
+        1: ([0, 1], [1, 1], [0, 0]),
+        # one part, whose cells at columns 1 and 3 are zero
+        3: ([0, 2], [1, 1], [0, 0]),
+        # the second part alone, on its sorted axis
+        4: ([11, 10], [0, 1], [1, 1]),
+        # the first part again, no zero cell: row 1's axis list
+        5: ([0, 1], [2, 1], [0, 0]),
+    })
+    got, taken, axes = decoded_product(a, b)
+    assert taken == ["_packed_rows"]
+    first, second = [0, 1, 2, 3], [10, 11]
+    assert axes == [first, second, first, first, second, first]
+    assert_naive_product(got, a, b)
+    rows = got[1]
+    assert [rows[i][0] for i in rows] == [first + second, first, [0, 2], second, first]
+    assert rows[1][0] is rows[5][0]
 
 
 def test_reading_a_table_leaves_its_form_in_place():
