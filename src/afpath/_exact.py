@@ -116,6 +116,12 @@ def equal(f, g):
     )
 
 
+def sup_sq(f):
+    """The largest squared modulus ``x*x + y*y`` of a form's numerators (0 for none)."""
+    _, res, ims = f
+    return max((x * x + y * y for x, y in zip(res, ims)), default=0)
+
+
 def combine(f, g, sign=1):
     """The entrywise ``f + sign*g`` of two aligned forms, in one pass."""
     den_f, res_f, ims_f = f
@@ -381,11 +387,17 @@ def pair_table(idx):
 def index_equal(a, b):
     """Whether two row indexes stand for the same table.
 
-    A row's columns may come in different orders (a product lists them as
-    they are reached); denominators are cross-multiplied as in ``equal``.
+    Over one denominator, equal rows in equal column orders are compared by
+    one C-level ``==`` of the two row dicts, and a row object that both
+    indexes hold is equal to itself by identity, with no cell read (a
+    projection's class rows).  Otherwise the rows are compared id by id: a
+    row's columns may come in different orders (a product lists them as
+    they are reached), and denominators are cross-multiplied as in ``equal``.
     """
     den_a, rows_a = a
     den_b, rows_b = b
+    if den_a == den_b and rows_a == rows_b:
+        return True
     if rows_a.keys() != rows_b.keys():
         return False
     for i, (cols, res, ims) in rows_a.items():
@@ -646,11 +658,16 @@ def _summed_rows(rows_a, rows_b):
 
 def _row_times(row, re, im):
     """A row of b times the Gaussian integer ``re + im*i``: b's row object
-    itself when that is 1, so it stays shared with b."""
+    itself when that is 1, so it stays shared with b.  A one-entry row, the
+    most common kind (a diagonal's rows, a projection's rows at singleton
+    classes), is multiplied inline, with no comprehension to set up."""
     if re == 1 and not im:
         return row
     cols, res, ims = row
     # A product of nonzero Gaussian integers is nonzero.
+    if len(cols) == 1:
+        (x,), (y,) = res, ims
+        return cols, [re * x - im * y], [re * y + im * x]
     return (cols, *_times((re, im), res, ims))
 
 

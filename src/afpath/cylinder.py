@@ -155,8 +155,8 @@ class CylinderFunction:
 
     def sup_norm_sq(self):
         """Largest squared modulus over the table (a Fraction)."""
-        den, res, ims = self._form
-        return Fraction(max((x * x + y * y for x, y in zip(res, ims)), default=0), den * den)
+        den = self._form[0]
+        return Fraction(_exact.sup_sq(self._form), den * den)
 
     def __repr__(self):
         return "CylinderFunction(level=%d, %d entries, %d nonzero)" % (self.level, len(self._form[1]), self.nnz())

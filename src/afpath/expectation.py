@@ -100,13 +100,20 @@ def prefix_sum_check(f, n, m):
     at v must be unchanged when f is replaced by its level-n expectation.
     Returns True when every instance holds exactly.
     """
-    d = f.diagram
-    desc = d.descendants(n, m)  # raises unless 0 <= n <= m <= depth
+    f.diagram.descendants(n, m)  # raises unless 0 <= n <= m <= depth
     if f.level > m:
         raise ValueError("f has level %d, cannot evaluate on length-%d paths" % (f.level, m))
+    return _prefix_sums_agree(f, expect(f, n), n, m)
+
+
+def _prefix_sums_agree(f, ef, n, m):
+    """``prefix_sum_check`` on valid levels, with ``ef`` the level-n
+    expectation of f already computed."""
+    d = f.diagram
+    desc = d.descendants(n, m)
     # Both sides are read at level m, each over its own denominator.
     den_f, res_f, ims_f = f._exact_form(m)
-    den_e, res_e, ims_e = expect(f, n)._exact_form(m)
+    den_e, res_e, ims_e = ef._exact_form(m)
     for gids in d.block_paths(n):
         # The paths x into one vertex have their level-m extensions in the
         # same segment order, so the t-th id of each is x.y for the t-th y.

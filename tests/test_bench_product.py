@@ -9,7 +9,7 @@ _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _SRC = os.path.join(_ROOT, "src")
 _LABELS = ["unit x unit", "unit x dense27", "empty x dense27", "dense27 x diag27", "jones x diag", "dense27 x dense27"]
 _LABELS += ["dense2 x dense2", "drop2 x drop2", "row2 x diag1", "e3*D x e3", "identity x jones", "Ediag x jones"]
-_LABELS += ["blocks10x30 x blocks10x30"]
+_LABELS += ["blocks10x30 x blocks10x30", "diag41 x ident41"]
 
 
 def bench_lines(*args):

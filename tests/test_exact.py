@@ -599,6 +599,21 @@ def test_a_row_times_1_is_the_row_of_b(i, k, b):
         assert got[1][i] is row
 
 
+gaussian_ints = st.tuples(st.integers(-(10**20), 10**20), st.integers(-(10**20), 10**20))
+
+
+@given(st.integers(0, 9), gaussian_ints.filter(any), gaussian_ints.filter(any))
+@example(3, (2, -5), (1, 0))
+def test_one_entry_row_times_matches_times(j, cell, c):
+    # The inline one-entry multiply gives the cells ``_times`` gives, and a
+    # multiplier of 1 keeps b's row object.
+    row = ([j], [cell[0]], [cell[1]])
+    got = _exact._row_times(row, *c)
+    assert got == (row[0], *_exact._times(c, row[1], row[2]))
+    assert (got is row) is (c == (1, 0))
+    assert _exact._row_times(row, 1, 0) is row
+
+
 @given(
     row_indexes(range(10), range(10), 1, den=st.just(1)),
     row_indexes(range(10), range(10), 4),
@@ -905,6 +920,56 @@ def test_index_equal_on_disjoint_rows_and_empty_tables():
     assert index_equal(index({}), EMPTY)
     assert not index_equal(index(a), EMPTY)
     assert not index_equal(EMPTY, index(a))
+
+
+class _RowsNeverEqual(dict):
+    """Rows whose ``==`` never holds, so ``index_equal`` skips its one-compare
+    shortcut and compares them id by id."""
+
+    def __eq__(self, other):
+        return False
+
+    __hash__ = None
+
+
+def _index_equal_by_rows(a, b):
+    return index_equal((a[0], _RowsNeverEqual(a[1])), (b[0], _RowsNeverEqual(b[1])))
+
+
+@given(
+    row_indexes(range(6), range(6), 4),
+    row_indexes(range(6), range(6), 4),
+    st.lists(st.integers(0, 5), min_size=6, max_size=6),
+    st.integers(2, 4),
+    st.randoms(use_true_random=False),
+)
+def test_index_equal_agrees_with_the_row_loop(a, b, picks, k, rng):
+    den, rows = a
+    shared = copied = a
+    if rows:
+        # Several ids hold one row object of a, and an equal unshared copy.
+        ks = list(rows)
+        shared = (den, {i: rows[ks[p % len(ks)]] for i, p in enumerate(picks)})
+        copied = (den, {i: tuple(map(list, row)) for i, row in shared[1].items()})
+    equal_pairs = [
+        (a, a),
+        (a, (den, dict(rows))),
+        (a, unreduced_index(a, 1, rng)),  # columns reordered
+        (a, unreduced_index(a, k)),  # another denominator
+        (unreduced_index(a, k, rng), a),
+        (shared, copied),
+        (copied, shared),
+    ]
+    for x, y in equal_pairs:
+        assert index_equal(x, y) is True
+        assert _index_equal_by_rows(x, y) is True
+    other_pairs = [(a, b), (b, a), (shared, a), (a, unreduced_index(b, k, rng)), (copied, b)]
+    if rows:
+        # One cell moved by one.
+        i, (cols, res, ims) = next(iter(rows.items()))
+        other_pairs.append((a, (den, {**rows, i: (cols, [res[0] + 1, *res[1:]], ims)})))
+    for x, y in other_pairs:
+        assert index_equal(x, y) is _index_equal_by_rows(x, y)
 
 
 @given(tables, st.integers(1, 4))

@@ -19,6 +19,7 @@ from afpath import (
     prefix_sum_check,
     quasi_basis_apply,
     random_cylinder,
+    serialize_diagram,
     Vertex,
 )
 from afpath.harness import VerifyConfig, run_suites
@@ -359,3 +360,30 @@ def test_expectation_suite_fails_when_one_partition_shape_is_off_at_one_entry(na
     (result,) = run_suites(VerifyConfig(source=name, suites=("expectation",)))
     assert hits
     assert not result.passed and result.failure_kind == "counterexample"
+
+
+@pytest.mark.parametrize("source", ["pascal", "file"])
+def test_expectation_suite_averages_each_function_once_per_level_and_kind(source, monkeypatch, tmp_path):
+    # One suite run asks for each E_n f (and each class sum) at most once:
+    # no call repeats a (function object, n, mean) triple.  Every argument is
+    # held, so no id is reused within the run.
+    if source == "file":
+        path = tmp_path / "mixed.bratteli"
+        path.write_text(serialize_diagram(MIXED), encoding="utf-8")
+        source = str(path)
+    true_averaged = expectation._averaged
+    held, seen, repeats = [], set(), []
+
+    def spy(f, n, mean):
+        held.append(f)
+        key = (id(f), n, mean)
+        if key in seen:
+            repeats.append((f.level, n, mean))
+        seen.add(key)
+        return true_averaged(f, n, mean)
+
+    monkeypatch.setattr(expectation, "_averaged", spy)
+    (result,) = run_suites(VerifyConfig(source=source, suites=("expectation",)))
+    assert result.passed
+    assert len(held) > 1000
+    assert repeats == []

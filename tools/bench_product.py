@@ -19,7 +19,9 @@ that is constant on each tail class of ``e_4`` times ``e_4`` in stage 5
 (the ``diag(E_n f) * e_n`` sandwich: one row product per class), and two
 operands of 10 column-disjoint 30x30 blocks whose rows each drop 3 entries
 (the ten-vertex file's shape: each block's rows fall into many column
-lists that join into one part).  Dense entries are Gaussian integers with
+lists that join into one part), and a 41-entry diagonal times the 0/1
+identity on 41 ids (the tower suite's ``D_f * e_0`` on the verify-sparse
+file diagram at level 4: one-entry rows times one-entry rows).  Dense entries are Gaussian integers with
 parts in [-108, 108] over a denominator, drawn from one seeded RNG, so
 every run times the same operands.
 
@@ -98,6 +100,8 @@ def operands(afpath, wide, seed=14):
     ediag = exact.indexed(6, {g: ([g], [parts[c][0]], [parts[c][1]]) for g, c in enumerate(class_of)})
     # Drawn after every case above, so those keep their operands.
     blocks, blocks2 = dropped(exact, rng, 30, blocks=10), dropped(exact, rng, 30, blocks=10)
+    # Drawn after every case above, so those keep their operands.
+    diag41 = diagonal(exact, rng, 41)
     return [
         ("unit x unit", unit(3, 5), unit(5, 7)),
         ("unit x dense27", unit(3, 5), d27),
@@ -112,6 +116,7 @@ def operands(afpath, wide, seed=14):
         ("identity x jones", exact.identity_on(range(32)), jones),
         ("Ediag x jones", ediag, jones),
         ("blocks10x30 x blocks10x30", blocks, blocks2),
+        ("diag41 x ident41", diag41, exact.identity_on(range(41))),
     ]
 
 
