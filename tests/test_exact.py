@@ -603,7 +603,6 @@ gaussian_ints = st.tuples(st.integers(-(10**20), 10**20), st.integers(-(10**20),
 
 
 @given(st.integers(0, 9), gaussian_ints.filter(any), gaussian_ints.filter(any))
-@example(3, (2, -5), (1, 0))
 def test_one_entry_row_times_matches_times(j, cell, c):
     # The inline one-entry multiply gives the cells ``_times`` gives, and a
     # multiplier of 1 keeps b's row object.
@@ -969,7 +968,7 @@ def test_index_equal_agrees_with_the_row_loop(a, b, picks, k, rng):
         i, (cols, res, ims) = next(iter(rows.items()))
         other_pairs.append((a, (den, {**rows, i: (cols, [res[0] + 1, *res[1:]], ims)})))
     for x, y in other_pairs:
-        assert index_equal(x, y) is _index_equal_by_rows(x, y)
+        assert index_equal(x, y) is _index_equal_by_rows(x, y) is (pair_table(x) == pair_table(y))
 
 
 @given(tables, st.integers(1, 4))
