@@ -225,7 +225,8 @@ def toeplitz_word(diagram, gamma, delta, m=None):
     """The word #r(gamma) * rho(I_gamma) * e_n * rho(I_delta) in stage m.
 
     For same-terminal pairs this recovers the elementary matrix at
-    (gamma, delta); for mismatched terminals it collapses to zero.
+    (gamma, delta); for mismatched terminals it collapses to zero.  The
+    paths are ranked once and the word is taken on their ids.
     """
     if len(gamma) != len(delta):
         raise ValueError("paths have different lengths %d and %d" % (len(gamma), len(delta)))
@@ -235,14 +236,18 @@ def toeplitz_word(diagram, gamma, delta, m=None):
         m = n
     if not n <= m <= d.depth:
         raise ValueError("need n <= m <= depth, got n=%d m=%d" % (n, m))
-    # rho(I_gamma) in stage m: the 0/1 diagonal on gamma's extensions.
+    return _toeplitz_word(d, d.path_id(gamma), d.path_id(delta), n, m)
+
+
+def _toeplitz_word(d, g, h, n, m):
+    """``toeplitz_word`` of the length-n path ids g and h, on row indexes: rho(I_g)
+    in stage m is the 0/1 diagonal on g's extensions, an id range of ``descendants``."""
     desc = d.descendants(n, m)
-    left, right = (
-        AfElement._from_index(d, m, _exact.identity_on(range(desc[g], desc[g + 1])))
-        for g in (d.path_id(gamma), d.path_id(delta))
-    )
-    e_n = jones_projection(d, n, m)
-    return d.path_count(gamma.terminal()) * (left * e_n * right)
+    left = _exact.identity_on(range(desc[g], desc[g + 1]))
+    right = _exact.identity_on(range(desc[h], desc[h + 1]))
+    word = _exact.product(_exact.product(left, jones_projection(d, n, m)._index), right)
+    count = d._level_counts()[n][d.terminals(n)[g]]
+    return AfElement._from_index(d, m, _exact.scale_index(count, word))
 
 
 def jones_refinement_check(diagram, n, m):

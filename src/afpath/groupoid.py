@@ -192,29 +192,31 @@ def word_kernel(diagram, gamma, delta):
 
     Evaluates #r(gamma) * diag(I_gamma) @ jones_kernel(n) @ diag(I_delta)
     literally; ``represent`` of the corresponding elementary matrix must
-    agree with it, which the verification suites check.
+    agree with it, which the verification suites check.  The paths are
+    ranked once and the word is taken on their ids.
     """
     d = diagram
     if len(gamma) != len(delta):
         raise ValueError("paths have different lengths %d and %d" % (len(gamma), len(delta)))
-    n = len(gamma)
-    jk = jones_kernel(d, n)
-    word = convolve(convolve(_peak(d, n, d.path_id(gamma)), jk), _peak(d, n, d.path_id(delta)))
-    return d.path_count(gamma.terminal()) * word
+    d._check_level(len(gamma))
+    return _word_kernel(d, d.path_id(gamma), d.path_id(delta), len(gamma))
 
 
-def _peak(diagram, m, eta):
-    """diag(I_eta) for a length-m path id eta: the one-entry diagonal kernel at (eta, eta)."""
-    return GroupoidFunction._from_index(diagram, 0, m, _exact.unit(eta, eta))
+def _word_kernel(d, g, h, n):
+    """``word_kernel`` of the length-n path ids g and h, on row indexes: diag(I_g) is the unit at (g, g)."""
+    word = _exact.product(_exact.product(_exact.unit(g, g), jones_kernel(d, n)._index), _exact.unit(h, h))
+    count = d._level_counts()[n][d.terminals(n)[g]]
+    return GroupoidFunction._from_index(d, n, n, _exact.scale_index(count, word))
 
 
 def vanishing_check(F, m):
     """Hunt for a peaked product separating F from zero.
 
-    Convolves F, tabulated at level m, with diag(I_eta) @
+    Multiplies F, tabulated at level m, by diag(I_eta) @
     jones_kernel(support) for the rooted length-m paths eta in increasing
     id order.  F @ diag(I_eta) is column eta of F, so only the ids of F's
-    nonzero columns are visited: every other product is empty.  Returns
+    nonzero columns are visited: every other product is empty.  Each
+    visit is two products of row indexes, with no kernel built.  Returns
     True when F is zero (there is no column to visit); otherwise returns
     the first visited eta whose product is nonzero.  A nonzero F with no
     witness would contradict the kernel lemma, so that state raises.
@@ -223,15 +225,12 @@ def vanishing_check(F, m):
     n = F.support_level
     if not F.table_level <= m <= d.depth:
         raise ValueError("need table_level <= m <= depth, got m=%d" % m)
-    Fw = F.widen(n, m)
-    jkw = jones_kernel(d, n).widen(n, m)
-    # The rows of F's adjoint are F's nonzero columns (Gustavson's
-    # transposed index, ACM TOMS 4, 1978).
-    for eta in sorted(_exact.index_adjoint(Fw._index)[1]):
-        product = convolve(convolve(Fw, _peak(d, m, eta)), jkw)
-        if not product.is_zero():
+    Fw = F.widen(n, m)._index
+    jkw = jones_kernel(d, n).widen(n, m)._index
+    for eta in sorted({j for cols, _, _ in Fw[1].values() for j in cols}):
+        if _exact.product(_exact.product(Fw, _exact.unit(eta, eta)), jkw)[1]:
             return d._path_at(m, eta)
-    if not Fw.is_zero():
+    if Fw[1]:
         raise AssertionError("nonzero kernel produced no witness; the peaked-product lemma failed")
     return True
 

@@ -35,7 +35,7 @@ from .af_tower import (
     AfElement,
     represent_cylinder,
     jones_projection,
-    toeplitz_word,
+    _toeplitz_word,
     jones_refinement_check,
     dimension_vector,
     embed_multiplicities,
@@ -48,7 +48,7 @@ from .groupoid import (
     represent,
     vanishing_check,
     unit_kernel,
-    word_kernel,
+    _word_kernel,
 )
 
 SUITE_NAMES = (
@@ -453,9 +453,9 @@ def _unit(d, n, a, b):
     return AfElement._from_index(d, n, _exact.unit(a, b))
 
 
-def _pair(paths, a, b):
-    """A label's ``a|b`` naming of a pair of path ids by their paths."""
-    return "%s|%s" % (format_path(paths[a]), format_path(paths[b]))
+def _pair(d, n, a, b):
+    """A label's ``a|b`` naming of a pair of level-n path ids by their paths."""
+    return "%s|%s" % (format_path(d._path_at(n, a)), format_path(d._path_at(n, b)))
 
 
 # Sample thresholds of the suites.  At or below one, a check covers every
@@ -493,7 +493,7 @@ def _unit_pairs(d, n, ids, ctx, rng):
 def _suite_matrix_units(ctx, chk, rng):
     d = ctx.diagram
     for n in range(ctx.top + 1):
-        paths, terminals = d.paths(n), d.terminals(n)
+        terminals = d.terminals(n)
         ids = _unit_ids(d, n)
         zero = AfElement.zero(d, n)
         total = AfElement.zero(d, n)
@@ -503,7 +503,7 @@ def _suite_matrix_units(ctx, chk, rng):
                 total = total + u
             chk.ok(
                 u.adjoint() == _unit(d, n, b, a),
-                lambda a=a, b=b: "adjoint;n=%d;pair=%s" % (n, _pair(paths, a, b)),
+                lambda a=a, b=b: "adjoint;n=%d;pair=%s" % (n, _pair(d, n, a, b)),
             )
         chk.ok(total == AfElement.identity(d, n), "diagonal-partition;n=%d" % n)
         for (a, b, u1), (c, e, u2) in _unit_pairs(d, n, ids, ctx, rng):
@@ -511,22 +511,22 @@ def _suite_matrix_units(ctx, chk, rng):
             chk.ok(
                 u1 * u2 == expected,
                 lambda a=a, b=b, c=c, e=e: "product-rule;n=%d;pairs=%s*%s"
-                % (n, _pair(paths, a, b), _pair(paths, c, e)),
+                % (n, _pair(d, n, a, b), _pair(d, n, c, e)),
             )
-        for a in range(len(paths)):
-            for b in range(len(paths)):
+        for a in range(len(terminals)):
+            for b in range(len(terminals)):
                 # The units are exactly the same-terminal pairs.
                 expected = _unit(d, n, a, b) if terminals[a] == terminals[b] else zero
                 chk.ok(
-                    toeplitz_word(d, paths[a], paths[b], n) == expected,
-                    lambda a=a, b=b: "word-recovery;n=%d;pair=%s" % (n, _pair(paths, a, b)),
+                    _toeplitz_word(d, a, b, n, n) == expected,
+                    lambda a=a, b=b: "word-recovery;n=%d;pair=%s" % (n, _pair(d, n, a, b)),
                 )
         if n < d.depth:
             m2 = n + 1
             for a, b in ids[:6]:
                 chk.ok(
-                    toeplitz_word(d, paths[a], paths[b], m2) == _unit(d, n, a, b).embed_to(m2),
-                    lambda a=a, b=b: "word-embedded;n=%d;pair=%s" % (n, _pair(paths, a, b)),
+                    _toeplitz_word(d, a, b, n, m2) == _unit(d, n, a, b).embed_to(m2),
+                    lambda a=a, b=b: "word-embedded;n=%d;pair=%s" % (n, _pair(d, n, a, b)),
                 )
 
 
@@ -651,15 +651,14 @@ def _suite_groupoid(ctx, chk, rng):
                 "support-admissible;" + tag,
             )
     for n in range(n_max + 1):
-        paths = d.paths(n)
         ids = _unit_ids(d, n)
         chk.ok(represent(AfElement.identity(d, n)) == one, "represent-unital;n=%d" % n)
         for a, b in ids:
             img = represent(_unit(d, n, a, b))
-            chk.ok(not img.is_zero(), lambda a=a, b=b: "represent-injective;n=%d;pair=%s" % (n, _pair(paths, a, b)))
+            chk.ok(not img.is_zero(), lambda a=a, b=b: "represent-injective;n=%d;pair=%s" % (n, _pair(d, n, a, b)))
             chk.ok(
                 img.adjoint() == represent(_unit(d, n, b, a)),
-                lambda a=a, b=b: "represent-star;n=%d;pair=%s" % (n, _pair(paths, a, b)),
+                lambda a=a, b=b: "represent-star;n=%d;pair=%s" % (n, _pair(d, n, a, b)),
             )
         # the image of a matrix unit must agree with the full convolution
         # word that defines it, not just with the collapsed closed form
@@ -669,23 +668,24 @@ def _suite_groupoid(ctx, chk, rng):
             word_pairs = [rng.choice(ids) for _ in range(max(48, 2 * ctx.samples))]
         for a, b in word_pairs:
             chk.ok(
-                represent(_unit(d, n, a, b)) == word_kernel(d, paths[a], paths[b]),
-                lambda a=a, b=b: "represent-word;n=%d;pair=%s" % (n, _pair(paths, a, b)),
+                represent(_unit(d, n, a, b)) == _word_kernel(d, a, b, n),
+                lambda a=a, b=b: "represent-word;n=%d;pair=%s" % (n, _pair(d, n, a, b)),
             )
         for (a, b, u1), (c, e, u2) in _unit_pairs(d, n, ids, ctx, rng):
             chk.ok(
                 convolve(represent(u1), represent(u2)) == represent(u1 * u2),
                 lambda a=a, b=b, c=c, e=e: "represent-multiplicative;n=%d;pairs=%s*%s"
-                % (n, _pair(paths, a, b), _pair(paths, c, e)),
+                % (n, _pair(d, n, a, b), _pair(d, n, c, e)),
             )
         if n < ctx.top:
             for a, b in ids:
                 u = _unit(d, n, a, b)
                 chk.ok(
                     represent(u.embed()) == represent(u).widen(n + 1, n + 1),
-                    lambda a=a, b=b: "represent-embed;n=%d;pair=%s" % (n, _pair(paths, a, b)),
+                    lambda a=a, b=b: "represent-embed;n=%d;pair=%s" % (n, _pair(d, n, a, b)),
                 )
-    # ids, n and paths are those of the last level, n_max
+    # ids and n are those of the last level, n_max
+    paths = d.paths(n)
     chk.ok(
         vanishing_check(GroupoidFunction.zero(d, n, n), ctx.deep) is True,
         "vanishing-zero;n=%d" % n,
@@ -694,7 +694,7 @@ def _suite_groupoid(ctx, chk, rng):
         witness = vanishing_check(represent(_unit(d, n, a, b)), n)
         chk.ok(
             witness == paths[b],
-            lambda a=a, b=b: "vanishing-witness;n=%d;pair=%s" % (n, _pair(paths, a, b)),
+            lambda a=a, b=b: "vanishing-witness;n=%d;pair=%s" % (n, _pair(d, n, a, b)),
         )
 
 
