@@ -202,10 +202,15 @@ def jones_projection(diagram, n, m=None):
         m = n
     if not 0 <= n <= m <= d.depth:
         raise ValueError("need 0 <= n <= m <= depth, got n=%d m=%d" % (n, m))
+    return AfElement._from_index(d, m, _jones_index(d, n, m))
+
+
+def _jones_index(d, n, m):
+    """The memoized row index of ``jones_projection(d, n, m)``, for valid n <= m."""
 
     def build():
         if m > n:
-            return _exact.extend_index(jones_projection(d, n)._index, d.descendants(n, m))
+            return _exact.extend_index(_jones_index(d, n, n), d.descendants(n, m))
         # Over the common denominator L, every entry of block v is L / #v.
         blocks = list(filter(None, d.block_paths(n)))
         den = math.lcm(*map(len, blocks))
@@ -218,7 +223,7 @@ def jones_projection(diagram, n, m=None):
     # The memo holds the row index only: an element would point back to the
     # diagram through ``.diagram``, so a dead diagram would wait for the
     # cyclic collector instead of being freed by reference counting.
-    return AfElement._from_index(d, m, d.memo(("jones_projection", n, m), build))
+    return d.memo(("jones_projection", n, m), build)
 
 
 def toeplitz_word(diagram, gamma, delta, m=None):
@@ -245,7 +250,7 @@ def _toeplitz_word(d, g, h, n, m):
     desc = d.descendants(n, m)
     left = _exact.identity_on(range(desc[g], desc[g + 1]))
     right = _exact.identity_on(range(desc[h], desc[h + 1]))
-    word = _exact.product(_exact.product(left, jones_projection(d, n, m)._index), right)
+    word = _exact.product(_exact.product(left, _jones_index(d, n, m)), right)
     count = d._level_counts()[n][d.terminals(n)[g]]
     return AfElement._from_index(d, m, _exact.scale_index(count, word))
 

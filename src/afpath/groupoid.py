@@ -11,7 +11,7 @@ changing the function it represents.
 
 from . import _exact
 from .scalars import SCALAR_TYPES, as_scalar
-from .af_tower import jones_projection
+from .af_tower import _jones_index
 from .cylinder import constant
 
 
@@ -170,7 +170,7 @@ def jones_kernel(diagram, n):
     same-terminal pair of length-n paths."""
     diagram._check_level(n)
     # The kernel wraps the projection's memoized row index.
-    return represent(jones_projection(diagram, n))
+    return GroupoidFunction._from_index(diagram, n, n, _jones_index(diagram, n, n))
 
 
 def represent(x):
@@ -204,7 +204,7 @@ def word_kernel(diagram, gamma, delta):
 
 def _word_kernel(d, g, h, n):
     """``word_kernel`` of the length-n path ids g and h, on row indexes: diag(I_g) is the unit at (g, g)."""
-    word = _exact.product(_exact.product(_exact.unit(g, g), jones_kernel(d, n)._index), _exact.unit(h, h))
+    word = _exact.product(_exact.product(_exact.unit(g, g), _jones_index(d, n, n)), _exact.unit(h, h))
     count = d._level_counts()[n][d.terminals(n)[g]]
     return GroupoidFunction._from_index(d, n, n, _exact.scale_index(count, word))
 

@@ -2,6 +2,7 @@
 ``_word_kernel`` against the public path forms and the indicator oracles,
 and the unit suites' use of ids with no path ranked."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from afpath import (
@@ -13,6 +14,7 @@ from afpath import (
     toeplitz_word,
     word_kernel,
 )
+from afpath import harness
 from afpath.af_tower import _toeplitz_word
 from afpath.groupoid import _word_kernel
 from test_af_tower import _toeplitz_oracle
@@ -86,3 +88,26 @@ def test_unit_suites_rank_no_path(monkeypatch):
     gamma, delta = d.paths(2)[:2]
     toeplitz_word(d, gamma, delta)
     assert calls == [2, 2]
+
+
+@pytest.mark.parametrize(
+    "suite, name, label",
+    [
+        ("matrix_units", "_toeplitz_word", "word-recovery;n=2;pair=0>0#1;0>0#0|0>0#0;0>0#0"),
+        ("groupoid", "_word_kernel", "represent-word;n=2;pair=0>0#1;0>0#0|0>0#0;0>0#0"),
+    ],
+)
+def test_a_faulty_word_is_named_by_its_paths(suite, name, label, monkeypatch):
+    # The suites hold ids and unrank a pair only for a failed check's label.
+    # The labels are those the suites printed when they passed paths to
+    # toeplitz_word and word_kernel, with the same words of level-2 id 3 of
+    # uhf3 made wrong.
+    true_word = getattr(harness, name)
+
+    def faulty(d, g, h, n, *m):
+        word = true_word(d, g, h, n, *m)
+        return word * 2 if (n, g) == (2, 3) else word
+
+    monkeypatch.setattr(harness, name, faulty)
+    (result,) = run_suites(VerifyConfig("uhf3", depth=3, suites=(suite,)))
+    assert not result.passed and result.counterexample == label
