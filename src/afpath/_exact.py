@@ -25,18 +25,17 @@ equal rows (``jones_projection`` shares one row per tail class among the
 class's members).  ``product`` multiplies such a row once, ``indexed``
 reduces it once, ``scale_index`` scales it once, ``index_combine`` merges
 it once and ``extend_index`` copies it once per extension, and all keep it
-shared in their output.  ``_scaled_rows`` also shares equal multiples: a
-row of b times one Gaussian integer is built once, for every id of a that
-asks for it.  Sharing in b pays too: a row of a that reaches one row object
-R of b at every column is ``(sum of its entries) * R`` (``_summed_rows``),
-so ``(e_n D_f) * e_n`` makes one row per class with no packing.  Given b,
-a row's columns and their order depend only on a's contents, so sharing in
-a never changes a product's bytes.  Sharing in b can reorder a row's
-columns, never its cells: the rows ``_summed_rows`` takes join no part.
-Sharing also crosses operands: in ``product`` a row times 1 is b's row,
-the same object; a scaling whose ``p // g`` is 1 keeps every row object,
-and ``index_combine`` keeps a row that one operand holds alone when its
-multiplier is 1.
+shared in their output.  Sharing in b pays too: a row of a that reaches one
+row object R of b at every column, a one-entry row among them, is ``(sum of
+its entries) * R`` (``_summed_rows``), built once per multiple for every id
+of a that asks for it, so ``diag(f) * e_n`` and ``(e_n D_f) * e_n`` make
+one row per class with no packing.  Given b, a row's columns and their
+order depend only on a's contents, so sharing in a never changes a
+product's bytes.  Sharing in b can reorder a row's columns, never its
+cells: the rows ``_summed_rows`` takes join no part.  Sharing also crosses
+operands: in ``product`` a row times 1 is b's row, the same object; a
+scaling whose ``p // g`` is 1 keeps every row object, and ``index_combine``
+keeps a row that one operand holds alone when its multiplier is 1.
 
 The form is the only state a table owner (``PairTable``,
 ``CylinderFunction``) keeps.  The kernels here take and return forms, add,
@@ -496,25 +495,23 @@ def product(a, b):
     several ids of b hold is packed and scanned once.  A row of a whose one
     entry is 1 yields b's row object itself.
 
-    The loop is chosen per call by the shape of what a reaches:
+    A call takes these paths, in order:
 
     - a is one row of one entry: that row of b, scaled, with no loop and
       no scan (no other id holds the row, so no sharing is lost);
     - a row of a wider than b has rows is read only at b's row ids, by one
-      C-level scan (``_probed_rows``), before the loops below;
-    - every row of a holds one entry (an empty a too): each row of the
-      product is one row of b times one Gaussian integer, built once per
-      multiple, sharing b's column list (``_scaled_rows``);
-    - a's first row reaches one row object of b at its first and last
-      columns: each row of a that reaches one row object R at every
-      column (tested by ``is``) is ``(sum of its entries) * R``, built
-      once per multiple (``_summed_rows``); the other rows go on to the
-      loops below, and the product keeps a's id order;
-    - every row of b that a reaches holds one entry: each term lands in one
-      column (``_merged_rows``);
+      C-level scan (``_probed_rows``);
+    - each row of a that reaches one row object R of b at every column (a
+      one-entry row always does) is ``(sum of its entries) * R``, built
+      once per multiple, and a row that reaches no row of b is dropped
+      (``_summed_rows``);
+    - of the rows left over, when every row of b they reach holds one
+      entry, each term lands in one column (``_merged_rows``);
     - otherwise each reached row of b is packed into one int, and a row of
       the product is a few int multiply-adds and one decode per part of
       the columns it reaches (``_packed_rows``).
+
+    The product keeps a's id order, whichever path made its rows.
     """
     den_a, rows_a = a
     den_b, rows_b = b
@@ -531,30 +528,22 @@ def product(a, b):
         held = list(map(id, rows_a.values()))
         holder = dict(zip(held, rows_a))
         every_a, rows_a = rows_a, {i: rows_a[i] for i in holder.values()}
-    width = _widest(rows_a)
-    if 0 < len(rows_b) < width:
+    if 0 < len(rows_b) < _widest(rows_a):
         rows_a = _probed_rows(rows_a, rows_b)
-        width = _widest(rows_a)
-    if width <= 1:
-        rows = _scaled_rows(rows_a, rows_b)
-    else:
-        rows, rest = {}, rows_a
-        ks = next(iter(rows_a.values()))[0]
-        if rows_b.get(ks[0]) is rows_b.get(ks[-1]) is not None:
-            rows, rest = _summed_rows(rows_a, rows_b)
-        if rest:
-            reach = {k for ks, _, _ in rest.values() for k in ks}
-            reached = {k: row for k in reach if (row := rows_b.get(k)) is not None}
-            if all(len(cols) == 1 for cols, _, _ in reached.values()):
-                more = _merged_rows(rest, reached)
-            else:
-                more = _packed_rows(rest, reached, width)
-            if rows and held is None:
-                # Keep a's id order.
-                more.update(rows)
-                rows = {i: more[i] for i in rows_a if i in more}
-            else:
-                rows.update(more)
+    rows, rest = _summed_rows(rows_a, rows_b)
+    if rest:
+        reach = {k for ks, _, _ in rest.values() for k in ks}
+        reached = {k: row for k in reach if (row := rows_b.get(k)) is not None}
+        if all(len(cols) == 1 for cols, _, _ in reached.values()):
+            more = _merged_rows(rest, reached)
+        else:
+            more = _packed_rows(rest, reached)
+        if rows and held is None:
+            # Keep a's id order.
+            more.update(rows)
+            rows = {i: more[i] for i in rows_a if i in more}
+        else:
+            rows.update(more)
     if held is not None:
         rows = {i: row for i, r in zip(every_a, held) if (row := rows.get(holder[r])) is not None}
     return indexed(den_a * den_b, rows)
@@ -601,52 +590,35 @@ def _probed_rows(rows_a, rows_b):
     return out
 
 
-def _scaled_rows(rows_a, rows_b):
-    """The product's rows when every row of a holds one entry.
-
-    A row of b times one Gaussian integer is built once, and every id of a
-    that asks for it holds it: a class-constant diagonal times a projection
-    makes one row per class.
-    """
-    get = rows_b.get
-    out, done = {}, {}
-    for i, ((k,), (re,), (im,)) in rows_a.items():
-        row = get(k)
-        if row is None:
-            continue
-        if re == 1 and not im:
-            # b's own row (see ``_row_times``), with no key to build.
-            out[i] = row
-            continue
-        key = (id(row), re, im)
-        new = done.get(key)
-        if new is None:
-            new = done[key] = _row_times(row, re, im)
-        out[i] = new
-    return out
-
-
 def _summed_rows(rows_a, rows_b):
     """The product's rows of a that reach one row object R of b at every
     column, and the rows of a left for the other loops.
 
     Such a row's product is ``(sum of its entries) * R``: two C-level sums
     and one ``_row_times``, built once per ``(R, re, im)`` and held by every
-    id of a that asks for it.  A projection's rows times a projection make
-    one row per class.  Only ``is`` decides that a column reaches R: ``==``
-    would compare rows cell by cell.
+    id of a that asks for it.  A one-entry row reaches one row of b, so a
+    class-constant diagonal times a projection, or a projection's rows
+    times a projection, make one row per class.  A row that reaches no row
+    of b at any column, or whose terms cancel, yields no row.  Only ``is``
+    decides that a column reaches R: ``==`` would compare rows cell by cell.
     """
     get = rows_b.get
     out, rest, done = {}, {}, {}
     for i, row in rows_a.items():
         ks, res, ims = row
         first = get(ks[0])
-        if first is None or not all(map(is_, map(get, ks), repeat(first))):
+        if len(ks) == 1:
+            re, im = res[0], ims[0]
+        elif all(map(is_, map(get, ks), repeat(first))):
+            re, im = sum(res), sum(ims)
+        else:
             rest[i] = row
             continue
-        re, im = sum(res), sum(ims)
-        if not (re or im):
-            # The row's terms cancel.
+        if first is None or not (re or im):
+            continue
+        if re == 1 and not im:
+            # b's own row (see ``_row_times``), with no key to build.
+            out[i] = first
             continue
         key = (id(first), re, im)
         new = done.get(key)
@@ -695,7 +667,7 @@ def _merged_rows(rows_a, rows_b):
     return out
 
 
-def _packed_rows(rows_a, reached, width):
+def _packed_rows(rows_a, reached):
     """The product's rows, with each reached row of b packed into one int.
 
     A Gaussian integer ``re + im*i`` is the int ``re + im*2**shift``, and a
@@ -703,12 +675,12 @@ def _packed_rows(rows_a, reached, width):
     column at bit ``3*shift*t``.  One int multiply-add by an entry of a
     then accumulates ``re*re'``, ``re*im' + im*re'`` and ``im*im'`` of
     every column of the row in separate ``shift``-bit digits.  A cell of a
-    row of the product sums at most ``width`` terms, and each digit of a
-    term is at most ``2 * top_a * top_b`` in size, so ``shift`` is chosen
-    so that no digit of any cell's sum can reach half of ``2**shift``:
-    adding half to every digit leaves each digit in ``[0, 2**shift)`` and
-    each cell a plain ``3*shift``-bit field, cut off by one mask and one
-    shift.
+    row of the product sums at most one term per entry of its row of a, so
+    at most ``_widest(rows_a)`` terms, and each digit of a term is at most
+    ``2 * top_a * top_b`` in size, so ``shift`` is chosen so that no digit
+    of any cell's sum can reach half of ``2**shift``: adding half to every
+    digit leaves each digit in ``[0, 2**shift)`` and each cell a plain
+    ``3*shift``-bit field, cut off by one mask and one shift.
 
     Each row object of b is packed once, on the sorted axis of its part
     (``_parts``).  A row of a accumulates one int per part it reaches and
@@ -717,7 +689,7 @@ def _packed_rows(rows_a, reached, width):
     no zero cell keeps the part's axis list, shared.
     """
     rows = {id(row): row for row in reached.values()}
-    shift = (width * _top(rows_a.values()) * _top(rows.values())).bit_length() + 2
+    shift = (_widest(rows_a) * _top(rows_a.values()) * _top(rows.values())).bit_length() + 2
     cell = 3 * shift
     part, axes = _parts(dict.fromkeys(tuple(cols) for cols, _, _ in rows.values()))
     # The bias adds half of ``2**shift`` to each of the ``3*len(axis)`` digits.

@@ -151,11 +151,23 @@ def format_path(path):
     return ";".join("%d>%d#%d" % (e.source, e.target, e.copy) for e in edges)
 
 
-def _int_row(row):
-    """A row as a tuple of ``int``; a row that already is one is kept as is."""
+def _integer(x, what):
+    """``int(x)``, refused with a ValueError naming x when that would drop a
+    fraction (``1.5``, ``Fraction(3, 2)``); a string is parsed exactly by
+    ``int`` already."""
+    n = int(x)
+    if n != x and not isinstance(x, (str, bytes)):
+        raise ValueError("%s %r is not an integer" % (what, x))
+    return n
+
+
+def _int_row(row, n):
+    """A row of incidence matrix n as a tuple of ``int``; a row that already
+    is one is kept as is."""
     if type(row) is tuple and set(map(type, row)) == {int}:
         return row
-    return tuple(map(int, row))
+    what = "incidence %d entry" % n
+    return tuple(_integer(x, what) for x in row)
 
 
 def _dense_row(pairs, width):
@@ -181,8 +193,8 @@ class BratteliDiagram:
     """
 
     def __init__(self, vertex_counts, incidence):
-        counts = tuple(int(c) for c in vertex_counts)
-        matrices = tuple(tuple(_int_row(row) for row in mat) for mat in incidence)
+        counts = tuple(_integer(c, "vertex count") for c in vertex_counts)
+        matrices = tuple(tuple(_int_row(row, n) for row in mat) for n, mat in enumerate(incidence))
         if len(matrices) < 1:
             raise ValueError("diagram needs depth >= 1")
         if len(counts) != len(matrices) + 1:

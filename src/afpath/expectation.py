@@ -31,16 +31,16 @@ def _averaged(f, n, mean):
 
 
 def _plan(d, m, n, mean):
-    """The memoized averaging plan of level n on the length-m paths."""
-    return d.memo(("averaging", m, n, mean), lambda: _averaging_plan(d, m, n, mean))
+    """The memoized averaging plan of level n on the length-m paths: the tail
+    classes and class map, with the scale that turns class sums into means
+    when ``mean`` is set."""
 
+    def build():
+        d._check_level(n)
+        classes, class_of = d.tail_classes(m, n)
+        return classes, class_of, class_means(classes) if mean else None
 
-def _averaging_plan(d, m, n, mean):
-    """The tail classes and class map of level n on the length-m paths, with
-    the scale that turns class sums into means when ``mean`` is set."""
-    d._check_level(n)
-    classes, class_of = d.tail_classes(m, n)
-    return classes, class_of, class_means(classes) if mean else None
+    return d.memo(("averaging", m, n, mean), build)
 
 
 def expect_indicator(diagram, gamma):

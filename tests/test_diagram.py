@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -493,6 +494,20 @@ def test_constructor_normalizes_entries_to_int():
     row = (1, 2)
     assert BratteliDiagram((1, 2), ((row,),)).incidence[0][0] is row
     assert BratteliDiagram((1, 2), ((("1", "2"),),)).incidence == (((1, 2),),)
+
+
+@pytest.mark.parametrize(
+    "counts, incidence, message",
+    [
+        ((1, 1), (((1.5,),),), "incidence 0 entry 1.5 is not an integer"),
+        ((1, 1, 2), (((1,),), ((1, Fraction(5, 2)),)), "incidence 1 entry Fraction(5, 2) is not an integer"),
+        ((1.7, 1), (((1,),),), "vertex count 1.7 is not an integer"),
+    ],
+)
+def test_constructor_refuses_an_entry_that_int_would_truncate(counts, incidence, message):
+    with pytest.raises(ValueError) as info:
+        BratteliDiagram(counts, incidence)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("bad", ["x", "", None, 1j, [1]])

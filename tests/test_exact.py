@@ -415,10 +415,10 @@ def one_object_per_row(rows):
 
 def test_product_reads_only_the_rows_of_b_that_a_reaches(monkeypatch):
     # Each case names the loops that product takes from the rows it reads:
-    # summed rows (a row of a reaches one row object of b at every column,
-    # tried when a's first row does at its ends), then scaled rows (every
-    # row of a holds one entry, or a is empty), merged rows (every row of b
-    # that a reaches holds one entry) or packed rows for the rest.
+    # summed rows on every call (a row of a reaches one row object of b at
+    # every column, as every one-entry row does), then, for the rows left
+    # over, merged rows (every row of b they reach holds one entry) or
+    # packed rows.
     dense = {(k, j): Scalar(Fraction(k + 1, j + 2), j % 3 - 1) for k in range(16) for j in range(16)}
     one_entry = {(k, (5 * k) % 7): Scalar(Fraction(k + 1, 3), k % 3 - 1) for k in range(16)}
     # Rows 0-7 hold one entry each; rows 8-15 are wide.
@@ -435,11 +435,11 @@ def test_product_reads_only_the_rows_of_b_that_a_reaches(monkeypatch):
         # Row 0's one entry reaches one row of b: the one-entry rows are
         # summed rows, and row 2 is packed.
         ({(0, 3): Scalar(2), (1, 3): Scalar(0, 1), (2, 11): Scalar(Fraction(-1, 3)), (2, 20): Scalar(5)}, dense, ["summed", "packed"]),
-        ({(0, 3): Scalar(2), (1, 11): Scalar(0, 1), (4, 20): Scalar(Fraction(-1, 3))}, dense, ["scaled"]),
-        ({(0, 3): Scalar(2), (0, 5): Scalar(0, 1), (2, 11): Scalar(Fraction(-1, 3)), (2, 20): Scalar(5)}, one_entry, ["merged"]),
-        ({}, dense, ["scaled"]),
-        ({(0, 1): Scalar(2), (0, 6): Scalar(0, 1), (3, 2): Scalar(-1), (3, 20): Scalar(5)}, mixed, ["merged"]),
-        ({(0, 2): Scalar(Fraction(1, 5)), (0, 3): Scalar(0, 4), (1, 2): Scalar(7, 1), (1, 8): Scalar(1)}, huge, ["packed"]),
+        ({(0, 3): Scalar(2), (1, 11): Scalar(0, 1), (4, 20): Scalar(Fraction(-1, 3))}, dense, ["summed"]),
+        ({(0, 3): Scalar(2), (0, 5): Scalar(0, 1), (2, 11): Scalar(Fraction(-1, 3)), (2, 20): Scalar(5)}, one_entry, ["summed", "merged"]),
+        ({}, dense, ["summed"]),
+        ({(0, 1): Scalar(2), (0, 6): Scalar(0, 1), (3, 2): Scalar(-1), (3, 20): Scalar(5)}, mixed, ["summed", "merged"]),
+        ({(0, 2): Scalar(Fraction(1, 5)), (0, 3): Scalar(0, 4), (1, 2): Scalar(7, 1), (1, 8): Scalar(1)}, huge, ["summed", "packed"]),
         # Every wide row reaches the shared row; row 4's terms cancel.
         (
             {(0, 0): Scalar(2), (0, 5): Scalar(0, 1), (2, 3): Scalar(Fraction(-1, 3)), (2, 6): Scalar(1, 1),
@@ -458,7 +458,7 @@ def test_product_reads_only_the_rows_of_b_that_a_reaches(monkeypatch):
         ({(0, 2): Scalar(1), (0, 9): Scalar(0, 2), (0, 5): Scalar(-3)}, projection, ["summed", "packed"]),
     ]
     taken = []
-    for name in ("summed", "scaled", "merged", "packed"):
+    for name in ("summed", "merged", "packed"):
         loop = getattr(_exact, "_%s_rows" % name)
         spy = lambda *args, loop=loop, name=name: taken.append(name) or loop(*args)
         monkeypatch.setattr(_exact, "_%s_rows" % name, spy)
@@ -478,7 +478,7 @@ def test_product_reads_only_the_rows_of_b_that_a_reaches(monkeypatch):
 
 # -- every loop the dispatcher picks, on row indexes drawn directly --------------------
 
-_LOOPS = ("_probed_rows", "_summed_rows", "_scaled_rows", "_merged_rows", "_packed_rows")
+_LOOPS = ("_probed_rows", "_summed_rows", "_merged_rows", "_packed_rows")
 
 
 def traced_product(a, b):
@@ -630,7 +630,7 @@ def test_one_entry_rows_of_a_share_the_rows_of_b(a, b, extra):
     rows.update((10 + i, first) for i in extra)
     a = (1, rows)
     got, taken = traced_product(a, b)
-    assert taken == ["_scaled_rows"]
+    assert taken == ["_summed_rows"]
     assert_naive_product(got, a, b)
     out = got[1]
     k = first[0][0]
@@ -685,6 +685,75 @@ def test_rows_that_reach_one_shared_row_of_b(a, b, picks_b, picks_a):
     assert index_equal(got, want)
 
 
+@st.composite
+def mixed_left_rows(draw):
+    """``(a, b)``: b holds rows at ids 0-7, and the ids in ``shared`` (at
+    least two) hold one row object.  a's rows are one-entry rows, rows that
+    reach only shared ids, rows that reach only ids 8-11 (no row of b) and
+    wide rows over ids 0-11, none wider than b has rows, so none is probed."""
+    width = draw(st.integers(1, 4))
+    nonzero = st.integers(-6, 6).filter(bool)
+
+    def row():
+        cols = draw(st.lists(st.sampled_from(range(8)), unique=True, min_size=1, max_size=width))
+        return cols, [draw(nonzero) for _ in cols], [draw(numerators) for _ in cols]
+
+    rows_b = {k: row() for k in range(8)}
+    shared = draw(st.lists(st.sampled_from(range(8)), unique=True, min_size=2))
+    rows_b.update(dict.fromkeys(shared, row()))
+    kinds = [
+        st.lists(st.sampled_from(range(12)), min_size=1, max_size=1),
+        st.lists(st.sampled_from(shared), unique=True, min_size=2),
+        st.lists(st.sampled_from(range(8, 12)), unique=True, min_size=2),
+        st.lists(st.sampled_from(range(12)), unique=True, min_size=2, max_size=8),
+    ]
+    rows_a = {}
+    for i in draw(st.permutations(range(10))):
+        cols = draw(st.sampled_from(kinds).flatmap(lambda kind: kind))
+        cells = [(j, draw(numerators), draw(numerators)) for j in cols]
+        cells = [cell for cell in cells if cell[1] or cell[2]]
+        if cells:
+            rows_a[i] = tuple(map(list, zip(*cells)))
+    return indexed(draw(denominators), rows_a), indexed(draw(denominators), rows_b)
+
+
+@given(mixed_left_rows())
+def test_summed_rows_leave_only_the_rows_that_reach_several_rows_of_b(ab):
+    # Every call runs the summed pass first: a one-entry row, a row that
+    # reaches one shared row object at every column and a row that reaches
+    # no row of b are its own, and only the other rows go on to the merged
+    # or packed loop, which keep a's id order with the summed rows.
+    a, b = ab
+    get = b[1].get
+    left = [i for i, (ks, _, _) in a[1].items() if len(ks) > 1 and any(get(k) is not get(ks[0]) for k in ks)]
+    handed = []
+    loops = {name: getattr(_exact, name) for name in ("_merged_rows", "_packed_rows")}
+    with contextlib.ExitStack() as stack:
+        for name, loop in loops.items():
+            spy = lambda rows_a, *args, loop=loop: handed.append(list(rows_a)) or loop(rows_a, *args)
+            stack.enter_context(mock.patch.object(_exact, name, spy))
+        got = product(a, b)
+    assert handed == ([left] if left else [])
+    assert_naive_product(got, a, b)
+    assert list(got[1]) == [i for i in a[1] if i in got[1]]
+    assert_same_table(pair_table(got), naive_row_sums(pair_table(a), pair_table(b)))
+
+
+def test_a_wide_row_times_one_row_scans_a_once():
+    # A word's second product: one 294-wide row of a times a one-row
+    # diagonal.  The probe cuts the row to one entry, which the summed pass
+    # scales; a's rows are measured once.
+    a = (1, {0: (list(range(294)), [k % 7 + 1 for k in range(294)], [0] * 294)})
+    b = (3, {117: ([117], [2], [1])})
+    calls = []
+    widest = _exact._widest
+    with mock.patch.object(_exact, "_widest", lambda rows: calls.append(len(rows)) or widest(rows)):
+        got, taken = traced_product(a, b)
+    assert calls == [1]
+    assert taken == ["_probed_rows", "_summed_rows"]
+    assert got == (1, {0: ([117], [4], [2])})
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(3, 32), st.integers(1, 4), st.booleans(), st.randoms(use_true_random=False))
 def test_wide_dense_rows_with_dropped_zero_entries(width, drops, drop_in_a, rng):
@@ -702,7 +771,7 @@ def test_wide_dense_rows_with_dropped_zero_entries(width, drops, drop_in_a, rng)
 
     a, b = dense(35, drops if drop_in_a else 0), dense(6, drops)
     got, taken, axes = decoded_product(a, b)
-    assert taken == ["_packed_rows"]
+    assert taken == ["_summed_rows", "_packed_rows"]
     assert sorted(axes) == sorted(part_decodes(a, b))
     assert_naive_product(got, a, b)
 
@@ -732,7 +801,7 @@ def test_packed_rows_decode_column_disjoint_parts():
         5: ([0, 1], [2, 1], [0, 0]),
     })
     got, taken, axes = decoded_product(a, b)
-    assert taken == ["_packed_rows"]
+    assert taken == ["_summed_rows", "_packed_rows"]
     first, second = [0, 1, 2, 3], [10, 11]
     assert axes == [first, second, first, first, second, first]
     assert_naive_product(got, a, b)

@@ -5,12 +5,13 @@
 Prints one line per case: the operands' shapes and the microseconds per call
 of ``afpath._exact.product``, the kernel behind ``AfElement.__mul__`` and
 ``convolve``.  The cases are a matrix unit times a matrix unit, a unit times
-a dense 27x27 block, the empty table times a dense 27x27 block (the early
-return on an empty left operand), a dense 27x27 block times a diagonal,
-car's averaging projection ``e_4`` in stage 5 (32 rows of 16 entries, each
-row object held by the 16 ids of its tail class) times a 32-entry diagonal,
-and dense WxW blocks times dense WxW blocks for W = 27 and W = ``--wide``
-(294 by default: the largest tail class of the 7, 7, 6 file diagram).  Then
+a dense 27x27 block, the empty table times a dense 27x27 block (an empty
+left operand: the summed pass over no rows), a dense 27x27 block times a
+diagonal, car's averaging projection ``e_4`` in stage 5 (32 rows of 16
+entries, each row object held by the 16 ids of its tail class) times a
+32-entry diagonal, and dense WxW blocks times dense WxW blocks for W = 27
+and W = ``--wide`` (294 by default: the largest tail class of the 7, 7, 6
+file diagram).  Then
 two WxW blocks whose rows each drop 3 entries (many column lists), one
 W-wide row times a one-row diagonal (the second product of a word), uhf3's
 ``e_3 * D`` times ``e_3`` at level 3 (27 ids sharing one row on each side),
